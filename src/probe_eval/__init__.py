@@ -13,12 +13,12 @@ from .errors import ParseError, ValidationError
 from .kg_data import (DatasetStats, KnowledgeGraph, PopularityIndex, Triple,
                       TripleSet, build_graph, compute_popularity, dataset_stats,
                       export_vocabulary, load_dataset, load_split, write_triples)
-from .metrics import (MetricConfig, ScoreSet, Stratum, aggregate,
-                      default_bucket_edges, hits_at_k, mr, mrr, probe_score,
-                      rt_affine, rt_raw, stratified_breakdown, weight)
-from .ranking import (Direction, Query, RankRecord, ScoreRow, TiePolicy,
-                      filter_set, load_rank_file, make_queries, rank_all,
-                      rank_of_gold, rank_score_file, write_rank_file)
+from .metrics import (MetricConfig, Stratum, default_bucket_edges, hits_at_k,
+                      mr, mrr, probe_score, rt_affine, rt_raw,
+                      stratified_breakdown, weight)
+from .ranking import (Direction, Query, RankRecord, RankTable, ScoreRow,
+                      TiePolicy, filter_set, load_rank_file, make_queries,
+                      rank_all, rank_of_gold, rank_score_file, write_rank_file)
 from .sweep import (CellRanking, Flip, RankBin, SweepGrid, SweepResult,
                     find_flips, load_surface, rank_histogram, run_sweep,
                     surface_export)
@@ -32,11 +32,11 @@ __all__ = [
     "DatasetStats", "KnowledgeGraph", "PopularityIndex", "Triple", "TripleSet",
     "build_graph", "compute_popularity", "dataset_stats", "export_vocabulary",
     "load_dataset", "load_split", "write_triples",
-    "MetricConfig", "ScoreSet", "Stratum", "aggregate", "default_bucket_edges",
+    "MetricConfig", "Stratum", "default_bucket_edges",
     "hits_at_k", "mr", "mrr", "probe_score", "rt_affine", "rt_raw",
     "stratified_breakdown", "weight",
-    "Direction", "Query", "RankRecord", "ScoreRow", "TiePolicy", "filter_set",
-    "load_rank_file", "make_queries", "rank_all", "rank_of_gold",
+    "Direction", "Query", "RankRecord", "RankTable", "ScoreRow", "TiePolicy",
+    "filter_set", "load_rank_file", "make_queries", "rank_all", "rank_of_gold",
     "rank_score_file", "write_rank_file",
     "CellRanking", "Flip", "RankBin", "SweepGrid", "SweepResult", "find_flips",
     "load_surface", "rank_histogram", "run_sweep", "surface_export",

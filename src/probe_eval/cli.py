@@ -27,7 +27,7 @@ from .kg_data import (KnowledgeGraph, PopularityIndex, dataset_stats,
                       export_vocabulary, load_dataset)
 from .metrics import (DEFAULT_HITS_KS, MetricConfig, default_bucket_edges,
                       hits_at_k, mr, mrr, probe_score, stratified_breakdown)
-from .ranking import (RankRecord, TiePolicy, load_rank_file, rank_score_file,
+from .ranking import (RankTable, TiePolicy, load_rank_file, rank_score_file,
                       write_rank_file)
 from .sweep import (DEFAULT_RANK_BINS, SweepGrid, histogram_export,
                     rank_histogram, run_sweep, surface_export)
@@ -63,8 +63,17 @@ class RunManifest:
     version: str = __version__
 
     def add_input(self, path: str | Path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs[str(path)] = f"sha256:{digest}"
+        digest = hashlib.sha256()
+        with Path(path).open("rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+        self.inputs[str(path)] = f"sha256:{digest.hexdigest()}"
+
+    def add_dataset_inputs(self, args) -> None:
+        """Record the three split files when the command read a dataset."""
+        if args.dataset:
+            for name in (args.train_file, args.valid_file, args.test_file):
+                self.add_input(Path(args.dataset) / name)
 
     def write(self, path: str | Path) -> None:
         payload = {
@@ -138,7 +147,9 @@ def _metric_args(parser: _Parser) -> None:
                         help="override the entity count (required without --dataset)")
 
 
-def _load_dataset_from_args(args) -> tuple[KnowledgeGraph, PopularityIndex]:
+def _load_dataset_from_args(args) -> tuple[KnowledgeGraph | None, PopularityIndex | None]:
+    if not args.dataset:
+        return None, None
     return load_dataset(args.dataset,
                         filenames=(args.train_file, args.valid_file, args.test_file))
 
@@ -160,28 +171,35 @@ def _tie_policy(args) -> TiePolicy:
     return TiePolicy(args.tie, seed=args.seed)
 
 
-def _strata_edges(choice: str, records: Sequence[RankRecord],
+def _strata_edges(choice: str, tables: Sequence[RankTable],
                   pop: PopularityIndex | None) -> list[int]:
     if choice == "auto":
         if pop is not None:
             delta_max = pop.max
         else:
-            delta_max = max((r.query.gold_popularity for r in records), default=0)
+            delta_max = max(int(table.pops.max()) for table in tables)
         return default_bucket_edges(delta_max)
     return list(_parse_ints(choice, "--strata"))
 
 
-def _eval_metrics(records: list[RankRecord], config: MetricConfig,
-                  hits_ks: Sequence[int], strata_edges: Sequence[int],
-                  threads: int) -> dict:
+def _eval_metrics(table: RankTable, config: MetricConfig,
+                  hits_ks: Sequence[int], strata_edges: Sequence[int]) -> dict:
     return {
-        "probe": probe_score(records, config, threads=threads),
-        "mr": mr(records),
-        "mrr": mrr(records),
-        "hits": {str(k): hits_at_k(records, k) for k in hits_ks},
+        "probe": probe_score(table, config),
+        "mr": mr(table),
+        "mrr": mrr(table),
+        "hits": {str(k): hits_at_k(table, k) for k in hits_ks},
         "strata": [s.to_json_dict()
-                   for s in stratified_breakdown(records, strata_edges, config)],
+                   for s in stratified_breakdown(table, strata_edges, config)],
     }
+
+
+def _load_ranks(path: str | Path, graph: KnowledgeGraph | None,
+                pop: PopularityIndex | None) -> RankTable:
+    table = load_rank_file(path, graph=graph, popularity=pop)
+    if not len(table):
+        raise ValidationError(f"rank file {path} holds no records")
+    return table
 
 
 def _metrics_csv(payload: dict) -> str:
@@ -212,8 +230,7 @@ def _cmd_stats(args, argv: list[str]) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         manifest = RunManifest("stats", argv, config={"format": args.format})
-        for name in (args.train_file, args.valid_file, args.test_file):
-            manifest.add_input(Path(args.dataset) / name)
+        manifest.add_dataset_inputs(args)
         manifest.write(f"{args.out}.manifest.json")
     else:
         sys.stdout.write(text)
@@ -230,8 +247,7 @@ def _cmd_rank(args, argv: list[str]) -> int:
         "tie": tie.policy, "seed": tie.seed, "raw": args.raw, "threads": args.threads,
     })
     manifest.add_input(args.scores)
-    for name in (args.train_file, args.valid_file, args.test_file):
-        manifest.add_input(Path(args.dataset) / name)
+    manifest.add_dataset_inputs(args)
     manifest.write(f"{args.out}.manifest.json")
     return 0
 
@@ -247,18 +263,14 @@ def _echo_config(config: MetricConfig, args) -> dict:
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
-    graph = pop = None
-    if args.dataset:
-        graph, pop = _load_dataset_from_args(args)
-    records = load_rank_file(args.ranks, graph=graph, popularity=pop)
-    if not records:
-        raise ValidationError(f"rank file {args.ranks} holds no records")
+    graph, pop = _load_dataset_from_args(args)
+    table = _load_ranks(args.ranks, graph, pop)
     config = MetricConfig(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
                           affine=not args.no_affine,
                           entity_count=_resolve_entity_count(args, graph))
     hits_ks = _parse_ints(args.hits, "--hits")
-    edges = _strata_edges(args.strata, records, pop)
-    payload = _eval_metrics(records, config, hits_ks, edges, args.threads)
+    edges = _strata_edges(args.strata, [table], pop)
+    payload = _eval_metrics(table, config, hits_ks, edges)
     payload["config"] = _echo_config(config, args)
 
     text = (_metrics_csv(payload) if args.format == "csv" else _dump_json(payload))
@@ -267,9 +279,7 @@ def _cmd_eval(args, argv: list[str]) -> int:
         manifest = RunManifest("eval", argv, config={
             **payload["config"], "threads": args.threads})
         manifest.add_input(args.ranks)
-        if args.dataset:
-            for name in (args.train_file, args.valid_file, args.test_file):
-                manifest.add_input(Path(args.dataset) / name)
+        manifest.add_dataset_inputs(args)
         manifest.write(f"{args.out}.manifest.json")
     else:
         sys.stdout.write(text)
@@ -278,11 +288,8 @@ def _cmd_eval(args, argv: list[str]) -> int:
 
 def _cmd_sweep(args, argv: list[str]) -> int:
     model_files = _parse_model_files(args.ranks)
-    graph = pop = None
-    if args.dataset:
-        graph, pop = _load_dataset_from_args(args)
-    models = {name: load_rank_file(path, graph=graph, popularity=pop)
-              for name, path in model_files.items()}
+    graph, pop = _load_dataset_from_args(args)
+    models = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
     base = _parse_floats(args.base, "--base")
     if len(base) != 2:
         raise ValidationError(f"--base expects alpha,beta, got {args.base!r}")
@@ -292,7 +299,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     config = MetricConfig(alpha=grid.base[0], beta=grid.base[1], epsilon=args.epsilon,
                           affine=not args.no_affine,
                           entity_count=_resolve_entity_count(args, graph))
-    result = run_sweep(models, grid, config, threads=args.threads)
+    result = run_sweep(models, grid, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -304,8 +311,8 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     _write_json([flip.to_json_dict() for flip in result.flips],
                 out_dir / "flips.json")
     bins = _parse_ints(args.bins, "--bins") if args.bins else DEFAULT_RANK_BINS
-    histogram_export({name: rank_histogram(records, bins)
-                      for name, records in models.items()},
+    histogram_export({name: rank_histogram(table, bins)
+                      for name, table in models.items()},
                      out_dir / "histogram.csv")
 
     manifest = RunManifest("sweep", argv, config={
@@ -316,9 +323,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     })
     for path in model_files.values():
         manifest.add_input(path)
-    if args.dataset:
-        for name in (args.train_file, args.valid_file, args.test_file):
-            manifest.add_input(Path(args.dataset) / name)
+    manifest.add_dataset_inputs(args)
     manifest.write(out_dir / "manifest.json")
     return 0
 
@@ -327,26 +332,17 @@ def _cmd_compare(args, argv: list[str]) -> int:
     model_files = _parse_model_files(args.ranks)
     if len(model_files) != 2:
         raise ValidationError(f"compare needs exactly 2 models, got {len(model_files)}")
-    graph = pop = None
-    if args.dataset:
-        graph, pop = _load_dataset_from_args(args)
+    graph, pop = _load_dataset_from_args(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
                           affine=not args.no_affine,
                           entity_count=_resolve_entity_count(args, graph))
     hits_ks = _parse_ints(args.hits, "--hits")
 
-    per_model_records = {}
-    for name, path in model_files.items():
-        records = load_rank_file(path, graph=graph, popularity=pop)
-        if not records:
-            raise ValidationError(f"rank file {path} holds no records")
-        per_model_records[name] = records
-
+    tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
     # one shared bucket scheme so the per-stratum rows align across models
-    all_records = [r for records in per_model_records.values() for r in records]
-    edges = _strata_edges(args.strata, all_records, pop)
-    per_model = {name: _eval_metrics(records, config, hits_ks, edges, args.threads)
-                 for name, records in per_model_records.items()}
+    edges = _strata_edges(args.strata, list(tables.values()), pop)
+    per_model = {name: _eval_metrics(table, config, hits_ks, edges)
+                 for name, table in tables.items()}
 
     if args.format == "json":
         payload = {"config": _echo_config(config, args), "models": per_model}
@@ -420,7 +416,8 @@ def build_parser() -> _Parser:
                    help="rank against all candidates (disable the filtered protocol)")
     p.add_argument("--allow-partial", action="store_true",
                    help="permit score files that do not cover every test query")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for ranking score rows")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_rank)
 
@@ -436,7 +433,8 @@ def build_parser() -> _Parser:
     p.add_argument("--strata", default="auto",
                    help="'auto' or comma-separated popularity bucket edges from 0")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and recorded in the manifest; only rank uses threads")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_eval)
 
@@ -451,7 +449,8 @@ def build_parser() -> _Parser:
     p.add_argument("--no-affine", action="store_true")
     p.add_argument("--bins", default=None,
                    help="comma-separated rank histogram edges starting at 1")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and recorded in the manifest; only rank uses threads")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_sweep)
 
@@ -464,7 +463,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hits", default=",".join(map(str, DEFAULT_HITS_KS)))
     p.add_argument("--strata", default="auto")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for a uniform command line; only rank uses threads")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("synth", help="generate a synthetic rank file from a profile")

@@ -8,27 +8,26 @@ the full [0, 1] range regardless of alpha or entity count.  Aggregation is
 a weighted mean with weights (epsilon + popularity)**(-beta), so beta > 0
 down-weights queries whose gold entity was frequent in training.
 
-All reductions use math.fsum (exactly rounded), so every metric here is
-bit-identical under record permutation and under any parallel chunking of
-the transform step.
+Every metric reads the rank and popularity columns of a RankTable (a
+sequence of RankRecords is converted first).  All reductions use
+math.fsum (exactly rounded), so every metric here is bit-identical under
+record permutation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .ranking import RankRecord
+from .ranking import RankRecord, RankTable, as_rank_table
 
 DEFAULT_HITS_KS = (1, 3, 10)
 
-# Chunk size for optional threaded transforms; results are independent of it.
-_CHUNK = 8192
+Records = RankTable | Sequence[RankRecord]
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,9 @@ class MetricConfig:
     entity_count: int | None = None
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ValidationError(
                 f"alpha must be > 0 for aggregated scoring, got {self.alpha} "
@@ -116,58 +118,7 @@ def weight(delta: int, beta: float, epsilon: float) -> float:
     return (epsilon + delta) ** -beta
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Transformed scores and their positive weights, index-aligned."""
-
-    scores: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "weights", weights)
-        if scores.shape != weights.shape or scores.ndim != 1:
-            raise ValidationError(
-                f"scores and weights must be 1-d and equal length, "
-                f"got {scores.shape} vs {weights.shape}")
-
-
-def aggregate(score_set: ScoreSet) -> float:
-    """Weighted mean sum(w*c)/sum(w) with exactly-rounded summation."""
-    if len(score_set.scores) == 0:
-        raise ValidationError("cannot aggregate an empty score set")
-    if not np.all(score_set.weights > 0):
-        raise ValidationError("all weights must be > 0")
-    return _weighted_mean(score_set.scores, score_set.weights)
-
-
-def _weighted_mean(scores: np.ndarray, weights: np.ndarray) -> float:
-    return math.fsum(weights * scores) / math.fsum(weights)
-
-
-def _records_arrays(records: Sequence[RankRecord]) -> tuple[np.ndarray, np.ndarray]:
-    ranks = np.fromiter((r.rank for r in records), dtype=np.int64, count=len(records))
-    pops = np.fromiter((r.query.gold_popularity for r in records),
-                       dtype=np.int64, count=len(records))
-    return ranks, pops
-
-
-def _chunked(fn, arr: np.ndarray, threads: int) -> np.ndarray:
-    """Apply an elementwise transform, optionally across a thread pool.
-
-    The output is a concatenation in input order of per-chunk results, so
-    it is bit-identical for every thread count.
-    """
-    if threads <= 1 or len(arr) <= _CHUNK:
-        return fn(arr)
-    chunks = [arr[i:i + _CHUNK] for i in range(0, len(arr), _CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(fn, chunks)))
-
-
-def transform_ranks(ranks: np.ndarray, config: MetricConfig, threads: int = 1) -> np.ndarray:
+def transform_ranks(ranks: np.ndarray, config: MetricConfig) -> np.ndarray:
     """Vectorized rank transform under the config's mode.
 
     Aggregated scoring requires alpha > 0 in both modes; use rt_raw
@@ -183,60 +134,57 @@ def transform_ranks(ranks: np.ndarray, config: MetricConfig, threads: int = 1) -
             raise ValidationError(
                 f"rank {int(ranks.max())} exceeds entity_count {n} in affine mode")
         denom = _affine_denominator(config.alpha, n)
-        return _chunked(
-            lambda a: (np.power(a.astype(np.float64), -config.alpha) - 1.0) / denom + 1.0,
-            ranks, threads)
-    return _chunked(
-        lambda a: np.power(a.astype(np.float64), -config.alpha), ranks, threads)
+        return (np.power(ranks.astype(np.float64), -config.alpha) - 1.0) / denom + 1.0
+    return np.power(ranks.astype(np.float64), -config.alpha)
 
 
-def popularity_weights(pops: np.ndarray, config: MetricConfig, threads: int = 1) -> np.ndarray:
+def popularity_weights(pops: np.ndarray, config: MetricConfig) -> np.ndarray:
     if len(pops) and int(pops.min()) < 0:
         raise ValidationError("popularities must be >= 0")
-    eps, beta = config.epsilon, config.beta
-    return _chunked(lambda a: np.power(eps + a.astype(np.float64), -beta), pops, threads)
+    return np.power(config.epsilon + pops.astype(np.float64), -config.beta)
 
 
-def probe_score(records: Sequence[RankRecord], config: MetricConfig,
-                threads: int = 1) -> float:
+def _table(records: Records, empty_message: str) -> RankTable:
+    table = as_rank_table(records)
+    if not len(table):
+        raise ValidationError(empty_message)
+    return table
+
+
+def probe_score(records: Records, config: MetricConfig) -> float:
     """Transform each record's rank, weight it by gold popularity, aggregate.
 
-    Deterministic regardless of record order, thread count, and chunking.
+    Deterministic regardless of record order.
     """
-    if not records:
-        raise ValidationError("cannot score an empty record list")
-    ranks, pops = _records_arrays(records)
-    return _probe_from_arrays(ranks, pops, config, threads)
+    table = _table(records, "cannot score an empty record list")
+    return _probe_from_arrays(table.ranks, table.pops, config)
 
 
-def _probe_from_arrays(ranks: np.ndarray, pops: np.ndarray, config: MetricConfig,
-                       threads: int = 1) -> float:
-    scores = transform_ranks(ranks, config, threads)
-    weights = popularity_weights(pops, config, threads)
-    return _weighted_mean(scores, weights)
+def _probe_from_arrays(ranks: np.ndarray, pops: np.ndarray,
+                       config: MetricConfig) -> float:
+    scores = transform_ranks(ranks, config)
+    weights = popularity_weights(pops, config)
+    return math.fsum(weights * scores) / math.fsum(weights)
 
 
-def mr(records: Sequence[RankRecord]) -> float:
+def mr(records: Records) -> float:
     """Arithmetic mean of the ranks."""
-    if not records:
-        raise ValidationError("cannot compute mean rank of no records")
-    return math.fsum(r.rank for r in records) / len(records)
+    ranks = _table(records, "cannot compute mean rank of no records").ranks
+    return math.fsum(ranks.tolist()) / len(ranks)
 
 
-def mrr(records: Sequence[RankRecord]) -> float:
+def mrr(records: Records) -> float:
     """Mean reciprocal rank."""
-    if not records:
-        raise ValidationError("cannot compute MRR of no records")
-    return math.fsum(1.0 / r.rank for r in records) / len(records)
+    ranks = _table(records, "cannot compute MRR of no records").ranks
+    return math.fsum((1.0 / ranks).tolist()) / len(ranks)
 
 
-def hits_at_k(records: Sequence[RankRecord], k: int) -> float:
+def hits_at_k(records: Records, k: int) -> float:
     """Fraction of records ranked within the top k."""
-    if not records:
-        raise ValidationError("cannot compute hits@k of no records")
+    ranks = _table(records, "cannot compute hits@k of no records").ranks
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return sum(1 for r in records if r.rank <= k) / len(records)
+    return int(np.count_nonzero(ranks <= k)) / len(ranks)
 
 
 @dataclass(frozen=True)
@@ -261,7 +209,7 @@ def default_bucket_edges(delta_max: int) -> list[int]:
     return edges
 
 
-def stratified_breakdown(records: Sequence[RankRecord], bucket_edges: Sequence[int],
+def stratified_breakdown(records: Records, bucket_edges: Sequence[int],
                          config: MetricConfig) -> list[Stratum]:
     """Per-popularity-bucket record counts and scores.
 
@@ -276,16 +224,15 @@ def stratified_breakdown(records: Sequence[RankRecord], bucket_edges: Sequence[i
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValidationError(f"bucket edges must be strictly ascending, got {edges}")
 
+    table = as_rank_table(records)
     unweighted = config.with_cell(config.alpha, 0.0)
-    buckets: list[list[RankRecord]] = [[] for _ in edges]
-    for rec in records:
-        pop = rec.query.gold_popularity
-        idx = int(np.searchsorted(edges, pop, side="right")) - 1
-        buckets[idx].append(rec)
-
+    bucket = np.searchsorted(edges, table.pops, side="right") - 1
     out: list[Stratum] = []
-    for i, bucket in enumerate(buckets):
+    for i, lo in enumerate(edges):
+        mask = bucket == i
+        count = int(np.count_nonzero(mask))
+        score = (_probe_from_arrays(table.ranks[mask], table.pops[mask], unweighted)
+                 if count else None)
         hi = edges[i + 1] if i + 1 < len(edges) else None
-        score = probe_score(bucket, unweighted) if bucket else None
-        out.append(Stratum(lo=edges[i], hi=hi, count=len(bucket), score=score))
+        out.append(Stratum(lo=lo, hi=hi, count=count, score=score))
     return out

@@ -16,7 +16,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,6 +82,34 @@ class RankRecord:
     def __post_init__(self):
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
+
+
+@dataclass(frozen=True)
+class RankTable:
+    """Evaluated queries as index-aligned columns.
+
+    keys holds one ``head<TAB>relation<TAB>tail<TAB>direction`` string per
+    record, the identity used to match queries across models; ranks and
+    pops (gold popularities) are int64 arrays.
+    """
+
+    keys: list[str]
+    ranks: np.ndarray
+    pops: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def as_rank_table(records: RankTable | Sequence[RankRecord]) -> RankTable:
+    """The columns of a record sequence; a RankTable passes through."""
+    if isinstance(records, RankTable):
+        return records
+    return RankTable(
+        keys=["\t".join(r.query.key()) for r in records],
+        ranks=np.fromiter((r.rank for r in records), dtype=np.int64, count=len(records)),
+        pops=np.fromiter((r.query.gold_popularity for r in records),
+                         dtype=np.int64, count=len(records)))
 
 
 class TiePolicy:
@@ -237,15 +265,19 @@ def rank_all(rows: Iterable[ScoreRow], graph: KnowledgeGraph, tie: TiePolicy,
 
 
 def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
-                   popularity: PopularityIndex | None = None) -> list[RankRecord]:
+                   popularity: PopularityIndex | None = None) -> RankTable:
     """Read ``head<TAB>relation<TAB>tail<TAB>direction<TAB>rank`` records.
 
     Gold popularity is looked up through the graph vocabulary; entities
-    unknown to it get popularity 0 (one summary warning).
+    unknown to it get popularity 0 (one summary warning).  A query that
+    appears on two lines is rejected.
     """
     path = Path(path)
-    records: list[RankRecord] = []
-    unknown = 0
+    keys: list[str] = []
+    ranks: list[int] = []
+    gold_ids: list[int] = []
+    first_line: dict[str, int] = {}
+    entity_ids = graph.entity_ids if graph is not None else None
     with path.open("r", encoding="utf-8", newline=None) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
@@ -267,29 +299,31 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
             if rank < 1:
                 raise ValidationError(
                     f"{path}:{lineno}: rank must be >= 1, got {rank}")
-            dir_enum = Direction(direction)
-            gold_label = head if dir_enum is Direction.HEAD else tail
-            pop = 0
-            hid = rid = tid = -1
-            if graph is not None:
-                hid = graph.entity_ids.get(head, -1)
-                rid = graph.relation_ids.get(relation, -1)
-                tid = graph.entity_ids.get(tail, -1)
-                gold_id = hid if dir_enum is Direction.HEAD else tid
-                if gold_id >= 0 and popularity is not None:
-                    pop = popularity[gold_id]
-                elif gold_id < 0:
-                    unknown += 1
-            elif popularity is not None:
-                unknown += 1
-            records.append(RankRecord(
-                query=Query(head, relation, tail, dir_enum, gold_popularity=pop,
-                            head_id=hid, relation_id=rid, tail_id=tid),
-                rank=rank))
+            key = f"{head}\t{relation}\t{tail}\t{direction}"
+            first = first_line.setdefault(key, lineno)
+            if first != lineno:
+                raise ValidationError(
+                    f"{path}:{lineno}: duplicate query {(head, relation, tail, direction)} "
+                    f"repeats line {first}")
+            keys.append(key)
+            ranks.append(rank)
+            if entity_ids is not None:
+                gold_ids.append(entity_ids.get(head if direction == "head" else tail, -1))
+
+    pops = np.zeros(len(keys), dtype=np.int64)
+    unknown = 0
+    if entity_ids is not None:
+        ids = np.array(gold_ids, dtype=np.int64)
+        known = ids >= 0
+        unknown = len(ids) - int(np.count_nonzero(known))
+        if popularity is not None:
+            pops[known] = popularity.counts[ids[known]]
+    elif popularity is not None:
+        unknown = len(keys)
     if unknown:
         logger.warning("%s: %d record(s) with gold entity unknown to the "
                        "vocabulary; popularity set to 0", path, unknown)
-    return records
+    return RankTable(keys, np.array(ranks, dtype=np.int64), pops)
 
 
 def write_rank_file(records: Iterable[RankRecord], path: str | Path) -> None:
@@ -330,7 +364,11 @@ def iter_score_rows(path: str | Path, graph: KnowledgeGraph) -> Iterator[ScoreRo
                 raise ValidationError(
                     f"{path}:{lineno}: triple ({head}, {relation}, {tail}) "
                     "references labels outside the dataset vocabulary")
-            vector = np.asarray(scores, dtype=np.float64)
+            try:
+                vector = np.asarray(scores, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParseError("scores must be a list of numbers",
+                                 path=str(path), line=lineno) from None
             if vector.ndim != 1 or len(vector) != graph.n_entities:
                 raise ValidationError(
                     f"{path}:{lineno}: scores length {vector.size} != "

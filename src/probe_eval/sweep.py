@@ -11,6 +11,7 @@ noise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,8 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricConfig, _probe_from_arrays, _records_arrays
-from .ranking import RankRecord
+from .metrics import MetricConfig, Records, _probe_from_arrays
+from .ranking import RankTable, as_rank_table
 
 TIE_TOLERANCE = 1e-12
 
@@ -43,6 +44,9 @@ class SweepGrid:
     def __post_init__(self):
         if not self.alphas or not self.betas:
             raise ValidationError("grid needs at least one alpha and one beta")
+        if not all(math.isfinite(v) for v in (*self.alphas, *self.betas)):
+            raise ValidationError(
+                f"alphas and betas must be finite, got {self.alphas} and {self.betas}")
         if any(a <= 0 for a in self.alphas):
             raise ValidationError(f"alphas must be > 0, got {self.alphas}")
         if any(b < 0 for b in self.betas):
@@ -152,8 +156,8 @@ def find_flips(result: SweepResult) -> list[Flip]:
     return flips
 
 
-def run_sweep(models: Mapping[str, Sequence[RankRecord]], grid: SweepGrid,
-              config: MetricConfig, threads: int = 1) -> SweepResult:
+def run_sweep(models: Mapping[str, Records], grid: SweepGrid,
+              config: MetricConfig) -> SweepResult:
     """Score every model at every cell, then derive rankings and flips.
 
     All models must cover the same query set; only alpha and beta vary
@@ -161,38 +165,36 @@ def run_sweep(models: Mapping[str, Sequence[RankRecord]], grid: SweepGrid,
     """
     if not models:
         raise ValidationError("sweep needs at least one model")
-    _check_same_queries(models)
+    tables = {name: as_rank_table(models[name]) for name in sorted(models)}
+    _check_same_queries(tables)
 
-    arrays = {name: _records_arrays(records) for name, records in models.items()}
     cells: dict[Cell, dict[str, float]] = {}
     for cell in grid.cells():
         cell_config = config.with_cell(*cell)
-        cells[cell] = {
-            name: _probe_from_arrays(ranks, pops, cell_config, threads)
-            for name, (ranks, pops) in sorted(arrays.items())
-        }
+        cells[cell] = {name: _probe_from_arrays(table.ranks, table.pops, cell_config)
+                       for name, table in tables.items()}
 
-    result = SweepResult(models=sorted(models), grid=grid, cells=cells)
+    result = SweepResult(models=list(tables), grid=grid, cells=cells)
     result.rankings = {cell: _rank_cell(cell, scores) for cell, scores in cells.items()}
     result.flips = find_flips(result)
     return result
 
 
-def _check_same_queries(models: Mapping[str, Sequence[RankRecord]]) -> None:
-    names = sorted(models)
-    reference = names[0]
-    ref_keys = sorted(r.query.key() for r in models[reference])
-    for name in names[1:]:
-        keys = sorted(r.query.key() for r in models[name])
+def _check_same_queries(tables: Mapping[str, RankTable]) -> None:
+    reference, *others = tables
+    ref_keys = sorted(tables[reference].keys)
+    for name in others:
+        keys = sorted(tables[name].keys)
         if len(keys) != len(ref_keys):
             raise ValidationError(
                 f"model {name!r} has {len(keys)} records but {reference!r} "
                 f"has {len(ref_keys)}")
-        for ref_key, key in zip(ref_keys, keys):
-            if ref_key != key:
-                raise ValidationError(
-                    f"models {reference!r} and {name!r} rank different query sets; "
-                    f"first divergence: {ref_key} vs {key}")
+        if keys != ref_keys:
+            ref_key, key = next((tuple(a.split("\t")), tuple(b.split("\t")))
+                                for a, b in zip(ref_keys, keys) if a != b)
+            raise ValidationError(
+                f"models {reference!r} and {name!r} rank different query sets; "
+                f"first divergence: {ref_key} vs {key}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ class RankBin:
     count: int
 
 
-def rank_histogram(records: Sequence[RankRecord],
+def rank_histogram(records: Records,
                    bins: Sequence[int] = DEFAULT_RANK_BINS) -> list[RankBin]:
     """Count records per rank bin; the final bin is [last edge, inf)."""
     edges = list(bins)
@@ -212,13 +214,13 @@ def rank_histogram(records: Sequence[RankRecord],
         raise ValidationError(f"rank bins must start at 1, got {edges[:1]}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValidationError(f"rank bins must be strictly ascending, got {edges}")
-    counts = [0] * len(edges)
-    for rec in records:
-        counts[int(np.searchsorted(edges, rec.rank, side="right")) - 1] += 1
+    ranks = as_rank_table(records).ranks
+    counts = np.bincount(np.searchsorted(edges, ranks, side="right") - 1,
+                         minlength=len(edges))
     out = []
     for i, count in enumerate(counts):
         hi = edges[i + 1] if i + 1 < len(edges) else None
-        out.append(RankBin(lo=edges[i], hi=hi, count=count))
+        out.append(RankBin(lo=edges[i], hi=hi, count=int(count)))
     return out
 
 

@@ -135,20 +135,27 @@ RankProfile = Union[ExplicitProfile, MixtureProfile]
 
 
 def profile_from_dict(data: dict) -> RankProfile:
+    if not isinstance(data, dict):
+        raise ValidationError(f"profile must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "explicit":
-        pops = data.get("popularities")
-        return ExplicitProfile(ranks=tuple(data["ranks"]),
-                               popularities=tuple(pops) if pops is not None else None)
-    if kind == "mixture":
-        strata = tuple(
-            PopularityStratum(
-                rule=PopularityRule(constant=entry.get("constant"),
-                                    low=entry.get("low"), high=entry.get("high")),
-                max_rank=entry.get("max_rank"))
-            for entry in data.get("popularity_model", []))
-        return MixtureProfile(p1=data["p1"], tail_rate=data["tail_rate"],
-                              n_entities=data["n_entities"], popularity_model=strata)
+    try:
+        if kind == "explicit":
+            pops = data.get("popularities")
+            return ExplicitProfile(ranks=tuple(data["ranks"]),
+                                   popularities=tuple(pops) if pops is not None else None)
+        if kind == "mixture":
+            strata = tuple(
+                PopularityStratum(
+                    rule=PopularityRule(constant=entry.get("constant"),
+                                        low=entry.get("low"), high=entry.get("high")),
+                    max_rank=entry.get("max_rank"))
+                for entry in data.get("popularity_model", []))
+            return MixtureProfile(p1=data["p1"], tail_rate=data["tail_rate"],
+                                  n_entities=data["n_entities"], popularity_model=strata)
+    except KeyError as exc:
+        raise ValidationError(f"{kind} profile is missing field {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValidationError(f"{kind} profile has a field of the wrong type: {exc}") from None
     raise ValidationError(f"profile kind must be 'explicit' or 'mixture', got {kind!r}")
 
 

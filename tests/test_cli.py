@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,16 @@ from probe_eval.cli import dispatch
 
 def run_cli(*argv) -> int:
     return dispatch(list(argv))
+
+
+def single_error_line(capsys, category: str) -> str:
+    """The one stderr line, which must carry the given error category."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"error[{category}]:"), err
+    return lines[0]
 
 
 def write_profile(path, payload):
@@ -371,6 +382,76 @@ class TestCompareStrataAlignment:
         # every strata row carries a cell for both models
         for line in strata_rows:
             assert line.count("(n=") == 2
+
+
+class TestManifestDigest:
+    def test_digest_is_sha256_of_file_bytes(self, toy_dataset, rankfile, tmp_path):
+        out = tmp_path / "e.json"
+        assert run_cli("eval", "--ranks", str(rankfile), "--dataset", str(toy_dataset),
+                       "--out", str(out)) == 0
+        inputs = json.loads((tmp_path / "e.json.manifest.json").read_text())["inputs"]
+        assert len(inputs) == 4
+        for path, digest in inputs.items():
+            with open(path, "rb") as handle:
+                assert digest == "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+
+
+class TestHostileInputs:
+    """Bad input gives exit 1 and one error line, never a traceback."""
+
+    def test_duplicate_rank_line_rejected_by_eval(self, rankfile, tmp_path, capsys):
+        rankfile.write_text(rankfile.read_text() + "d\tr1\tb\thead\t3\n", encoding="utf-8")
+        out = tmp_path / "e.json"
+        assert run_cli("eval", "--ranks", str(rankfile), "--entities", "10",
+                       "--out", str(out)) == 1
+        line = single_error_line(capsys, "validation")
+        assert f"{rankfile}:5:" in line and "line 1" in line
+        assert not out.exists()
+
+    def test_duplicate_rank_line_rejected_by_sweep(self, rankfile, tmp_path, capsys):
+        other = tmp_path / "other.tsv"
+        other.write_text(rankfile.read_text(), encoding="utf-8")
+        rankfile.write_text(rankfile.read_text() + "a\tr2\tc\ttail\t4\n", encoding="utf-8")
+        assert run_cli("sweep", "--ranks", f"a={rankfile}", f"b={other}",
+                       "--entities", "10", "--out", str(tmp_path / "o")) == 1
+        line = single_error_line(capsys, "validation")
+        assert f"{rankfile}:5:" in line and "line 4" in line
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--alpha", "nan"]),
+        ("eval", ["--beta", "inf"]),
+        ("eval", ["--epsilon", "inf", "--beta", "1"]),
+        ("sweep", ["--alphas", "1,nan"]),
+    ], ids=["eval-alpha-nan", "eval-beta-inf", "eval-epsilon-inf", "sweep-alphas-nan"])
+    def test_non_finite_parameters_rejected(self, rankfile, tmp_path, capsys,
+                                            command, flags):
+        out = tmp_path / "out"
+        assert run_cli(command, "--ranks", f"m={rankfile}" if command == "sweep"
+                       else str(rankfile), "--entities", "10", *flags,
+                       "--out", str(out)) == 1
+        assert "must be finite" in single_error_line(capsys, "validation")
+        assert not out.exists()
+
+    def test_non_numeric_score_is_parse_error(self, toy_dataset, tmp_path, capsys):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps({"head": "d", "relation": "r1", "tail": "b",
+                                      "direction": "head",
+                                      "scores": [0.1, "high", 0.3, 0.9]}) + "\n",
+                          encoding="utf-8")
+        assert run_cli("rank", "--scores", str(scores), "--dataset", str(toy_dataset),
+                       "--out", str(tmp_path / "o.tsv")) == 1
+        assert f"{scores}:1:" in single_error_line(capsys, "parse")
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "mixture", "p1": 0.5, "n_entities": 10},
+        [{"kind": "mixture"}],
+        {"kind": "mixture", "p1": "0.5", "tail_rate": 0.1, "n_entities": 10},
+    ], ids=["missing-tail-rate", "json-list", "string-p1"])
+    def test_malformed_profile_is_validation_error(self, tmp_path, capsys, profile):
+        path = write_profile(tmp_path / "p.json", profile)
+        assert run_cli("synth", "--profile", path, "--n", "3", "--seed", "0",
+                       "--out", str(tmp_path / "o.tsv")) == 1
+        single_error_line(capsys, "validation")
 
 
 def test_dispatch_returns_zero_for_help_and_version(capsys):

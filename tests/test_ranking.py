@@ -219,10 +219,10 @@ class TestRankFileIO:
     def test_parse_example(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("a\tr\tb\ttail\t3\n", encoding="utf-8")
-        records = load_rank_file(path)
-        assert len(records) == 1
-        assert records[0].rank == 3
-        assert records[0].query.gold == "b"
+        table = load_rank_file(path)
+        assert len(table) == 1
+        assert table.ranks.tolist() == [3]
+        assert table.keys == ["a\tr\tb\ttail"]  # tail-masked: gold is "b"
 
     def test_rank_zero_rejected(self, tmp_path):
         path = tmp_path / "r.tsv"
@@ -252,16 +252,16 @@ class TestRankFileIO:
         g, pop = load_dataset(toy_dataset)
         path = tmp_path / "r.tsv"
         path.write_text("a\tr1\tb\ttail\t2\n", encoding="utf-8")
-        records = load_rank_file(path, graph=g, popularity=pop)
-        assert records[0].query.gold_popularity == pop[g.entity_ids["b"]]
+        table = load_rank_file(path, graph=g, popularity=pop)
+        assert table.pops.tolist() == [pop[g.entity_ids["b"]]]
 
     def test_unknown_entity_warns_and_zeroes(self, tmp_path, toy_dataset, caplog):
         g, pop = load_dataset(toy_dataset)
         path = tmp_path / "r.tsv"
         path.write_text("zz\tr1\tunknown\ttail\t2\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            records = load_rank_file(path, graph=g, popularity=pop)
-        assert records[0].query.gold_popularity == 0
+            table = load_rank_file(path, graph=g, popularity=pop)
+        assert table.pops.tolist() == [0]
         assert "unknown to the vocabulary" in caplog.text
 
     def test_line_count(self, tmp_path):
@@ -276,7 +276,7 @@ class TestRankFileIO:
         path = tmp_path / "r.tsv"
         write_rank_file(records, path)
         loaded = load_rank_file(path)
-        assert [(r.query.key(), r.rank) for r in loaded] == \
+        assert [(tuple(k.split("\t")), r) for k, r in zip(loaded.keys, loaded.ranks.tolist())] == \
             [(r.query.key(), r.rank) for r in records]
 
 
