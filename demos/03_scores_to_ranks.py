@@ -10,22 +10,19 @@ than by array order.
 
 import numpy as np
 
-from probe_eval import (MetricConfig, TiePolicy, Triple, TripleSet,
-                        build_graph, compute_popularity, filter_set,
-                        make_queries, probe_score, rank_of_gold)
+from probe_eval import (MetricConfig, TiePolicy, build_graph,
+                        compute_popularity, filter_set, make_queries,
+                        probe_score, rank_of_gold)
 from probe_eval.ranking import ScoreRow
 
 
-def triples(*rows):
-    return TripleSet([Triple(*row) for row in rows])
-
-
 def main():
+    # train, valid and test splits as (head, relation, tail) label tuples
     graph = build_graph(
-        triples(("anna", "works_at", "lab"), ("ben", "works_at", "lab"),
-                ("cara", "works_at", "mill"), ("anna", "knows", "ben")),
-        triples(("dave", "works_at", "lab")),
-        triples(("cara", "knows", "ben"), ("erik", "works_at", "lab")),
+        [("anna", "works_at", "lab"), ("ben", "works_at", "lab"),
+         ("cara", "works_at", "mill"), ("anna", "knows", "ben")],
+        [("dave", "works_at", "lab")],
+        [("cara", "knows", "ben"), ("erik", "works_at", "lab")],
     )
     popularity = compute_popularity(graph)
     queries = make_queries(graph, popularity)

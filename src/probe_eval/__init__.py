@@ -10,9 +10,9 @@ rank-profile generation for testing and demonstrations.
 __version__ = "0.1.0"
 
 from .errors import ParseError, ValidationError
-from .kg_data import (DatasetStats, KnowledgeGraph, PopularityIndex, Triple,
-                      TripleSet, build_graph, compute_popularity, dataset_stats,
-                      export_vocabulary, load_dataset, load_split, write_triples)
+from .kg_data import (DatasetStats, KnowledgeGraph, PopularityIndex, build_graph,
+                      compute_popularity, dataset_stats, export_vocabulary,
+                      load_dataset, load_split)
 from .metrics import (MetricConfig, Stratum, default_bucket_edges, hits_at_k,
                       mr, mrr, probe_score, rt_affine, rt_raw,
                       stratified_breakdown, weight)
@@ -29,9 +29,9 @@ from .synthetic import (ExplicitProfile, MixtureProfile, PopularityRule,
 __all__ = [
     "__version__",
     "ParseError", "ValidationError",
-    "DatasetStats", "KnowledgeGraph", "PopularityIndex", "Triple", "TripleSet",
+    "DatasetStats", "KnowledgeGraph", "PopularityIndex",
     "build_graph", "compute_popularity", "dataset_stats", "export_vocabulary",
-    "load_dataset", "load_split", "write_triples",
+    "load_dataset", "load_split",
     "MetricConfig", "Stratum", "default_bucket_edges",
     "hits_at_k", "mr", "mrr", "probe_score", "rt_affine", "rt_raw",
     "stratified_breakdown", "weight",

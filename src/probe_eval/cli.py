@@ -499,6 +499,9 @@ def dispatch(argv: Sequence[str]) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error[parse]: {exc}\n")
         return 1
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"error[parse]: input is not UTF-8 text: {exc}\n")
+        return 1
     except ValidationError as exc:
         sys.stderr.write(f"error[validation]: {exc}\n")
         return 1

@@ -8,9 +8,9 @@ LF or CRLF.  Labels are opaque byte strings compared exactly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,47 +20,20 @@ logger = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "valid", "test")
 
-
-@dataclass(frozen=True)
-class Triple:
-    """One (head, relation, tail) fact, by label."""
-
-    head: str
-    relation: str
-    tail: str
-
-    def __post_init__(self):
-        for name in ("head", "relation", "tail"):
-            if not getattr(self, name):
-                raise ValidationError(f"triple has empty {name}: {self!r}")
+Labels = tuple[str, str, str]  # (head, relation, tail)
 
 
-@dataclass
-class TripleSet:
-    """Triples from one split, deduplicated, in file order."""
+def load_split(path: str | Path) -> list[Labels]:
+    """Parse one triple file into (head, relation, tail) label tuples.
 
-    triples: list[Triple]
-    split: str = ""
-    duplicates_dropped: int = 0
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self.triples)
-
-
-def load_split(path: str | Path, split: str = "") -> TripleSet:
-    """Parse one triple file.
-
-    Empty lines are skipped; exact duplicate lines are dropped with a
-    warning count.  A line with the wrong field count or an empty field
-    raises ParseError naming the line number.
+    Empty lines are skipped; exact duplicate triples are dropped with a
+    warning count, keeping the first occurrence in file order.  This is
+    the only place triples are deduplicated.  A line with the wrong field
+    count or an empty field raises ParseError naming the line number.
     """
     path = Path(path)
-    triples: list[Triple] = []
-    seen: set[tuple[str, str, str]] = set()
-    dropped = 0
+    triples: dict[Labels, None] = {}
+    read = 0
     with path.open("r", encoding="utf-8", newline=None) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
@@ -73,29 +46,19 @@ def load_split(path: str | Path, split: str = "") -> TripleSet:
                     path=str(path),
                     line=lineno,
                 )
-            head, relation, tail = (p.strip() for p in parts)
-            if not (head and relation and tail):
+            key = (parts[0].strip(), parts[1].strip(), parts[2].strip())
+            if not all(key):
                 raise ParseError(
                     "empty field after whitespace trimming",
                     path=str(path),
                     line=lineno,
                 )
-            key = (head, relation, tail)
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            triples.append(Triple(head, relation, tail))
+            triples[key] = None
+            read += 1
+    dropped = read - len(triples)
     if dropped:
         logger.warning("%s: dropped %d duplicate triple line(s)", path, dropped)
-    return TripleSet(triples, split=split, duplicates_dropped=dropped)
-
-
-def write_triples(triples: Iterable[Triple], path: str | Path) -> None:
-    """Serialize triples back to the 3-column TSV convention."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for t in triples:
-            handle.write(f"{t.head}\t{t.relation}\t{t.tail}\n")
+    return list(triples)
 
 
 class KnowledgeGraph:
@@ -139,50 +102,26 @@ class KnowledgeGraph:
         return getattr(self, name)
 
 
-def _empty_ids() -> np.ndarray:
-    return np.empty((0, 3), dtype=np.int64)
+def build_graph(train: Sequence[Labels], valid: Sequence[Labels],
+                test: Sequence[Labels]) -> KnowledgeGraph:
+    """Build vocabularies over all splits and store each split by id.
 
-
-def build_graph(train: TripleSet, valid: TripleSet, test: TripleSet) -> KnowledgeGraph:
-    """Build vocabularies over all splits and store splits by id.
-
-    Duplicate triples within a split are dropped (first occurrence wins),
-    keeping the no-duplicates invariant even for hand-built TripleSets.
+    The splits are taken as given: load_split has already dropped
+    duplicate triples.
     """
-    entity_labels: list[str] = []
-    relation_labels: list[str] = []
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-
-    def entity_id(label: str) -> int:
-        eid = entity_ids.get(label)
-        if eid is None:
-            eid = len(entity_labels)
-            entity_ids[label] = eid
-            entity_labels.append(label)
-        return eid
-
-    def relation_id(label: str) -> int:
-        rid = relation_ids.get(label)
-        if rid is None:
-            rid = len(relation_labels)
-            relation_ids[label] = rid
-            relation_labels.append(label)
-        return rid
-
-    split_arrays: list[np.ndarray] = []
-    for triple_set in (train, valid, test):
-        rows: list[tuple[int, int, int]] = []
-        seen: set[tuple[int, int, int]] = set()
-        for t in triple_set:
-            row = (entity_id(t.head), relation_id(t.relation), entity_id(t.tail))
-            if row in seen:
-                continue
-            seen.add(row)
-            rows.append(row)
-        split_arrays.append(np.array(rows, dtype=np.int64) if rows else _empty_ids())
-
-    return KnowledgeGraph(entity_labels, relation_labels, *split_arrays)
+    # setdefault(label, len(ids)) hands an unseen label the next dense id
+    entity = entity_ids.setdefault
+    relation = relation_ids.setdefault
+    split_arrays = [
+        np.fromiter((i for h, r, t in triples
+                     for i in (entity(h, len(entity_ids)),
+                               relation(r, len(relation_ids)),
+                               entity(t, len(entity_ids)))),
+                    dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+        for triples in (train, valid, test)]
+    return KnowledgeGraph(list(entity_ids), list(relation_ids), *split_arrays)
 
 
 @dataclass(frozen=True)
@@ -198,11 +137,6 @@ class PopularityIndex:
 
     def __getitem__(self, entity_id: int) -> int:
         return int(self.counts[entity_id])
-
-    def get(self, entity_id: int, default: int = 0) -> int:
-        if 0 <= entity_id < len(self.counts):
-            return int(self.counts[entity_id])
-        return default
 
     @property
     def total(self) -> int:
@@ -280,9 +214,7 @@ def load_dataset(directory: str | Path,
                  ) -> tuple[KnowledgeGraph, PopularityIndex]:
     """Load the community train/valid/test layout and index popularity."""
     directory = Path(directory)
-    sets = [load_split(directory / fname, split=split)
-            for fname, split in zip(filenames, SPLIT_NAMES)]
-    graph = build_graph(*sets)
+    graph = build_graph(*(load_split(directory / fname) for fname in filenames))
     return graph, compute_popularity(graph)
 
 

@@ -139,9 +139,15 @@ def transform_ranks(ranks: np.ndarray, config: MetricConfig) -> np.ndarray:
 
 
 def popularity_weights(pops: np.ndarray, config: MetricConfig) -> np.ndarray:
+    """Popularity weights scaled so the largest is exactly 1.
+
+    Computed in log space, w_i = exp(-beta * (log(eps + d_i) - min_j log(eps + d_j))),
+    so they cannot all underflow to 0; the weighted mean is unchanged.
+    """
     if len(pops) and int(pops.min()) < 0:
         raise ValidationError("popularities must be >= 0")
-    return np.power(config.epsilon + pops.astype(np.float64), -config.beta)
+    logs = np.log(config.epsilon + pops.astype(np.float64))
+    return np.exp(-config.beta * (logs - logs.min()))
 
 
 def _table(records: Records, empty_message: str) -> RankTable:

@@ -26,6 +26,12 @@ from .ranking import Direction, Query, RankRecord
 _TAIL_SUM_TOL = 1e-9
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, but a JSON true is not a count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PopularityRule:
     """Popularity draw for one rank stratum: a constant or an inclusive range."""
@@ -35,6 +41,9 @@ class PopularityRule:
     high: int | None = None
 
     def __post_init__(self):
+        for name in ("constant", "low", "high"):
+            if getattr(self, name) is not None:
+                _require_int(f"popularity {name}", getattr(self, name))
         if self.constant is not None:
             if self.low is not None or self.high is not None:
                 raise ValidationError("popularity rule is either constant or a range")
@@ -59,6 +68,10 @@ class PopularityStratum:
     rule: PopularityRule
     max_rank: int | None = None
 
+    def __post_init__(self):
+        if self.max_rank is not None:
+            _require_int("stratum max_rank", self.max_rank)
+
 
 @dataclass(frozen=True)
 class ExplicitProfile:
@@ -70,6 +83,8 @@ class ExplicitProfile:
     def __post_init__(self):
         if not self.ranks:
             raise ValidationError("explicit profile needs at least one rank")
+        for rank in self.ranks:
+            _require_int("explicit profile rank", rank)
         if any(r < 1 for r in self.ranks):
             raise ValidationError("explicit profile ranks must be >= 1")
         if self.popularities is not None:
@@ -77,6 +92,8 @@ class ExplicitProfile:
                 raise ValidationError(
                     f"popularities length {len(self.popularities)} != "
                     f"ranks length {len(self.ranks)}")
+            for pop in self.popularities:
+                _require_int("explicit profile popularity", pop)
             if any(p < 0 for p in self.popularities):
                 raise ValidationError("popularities must be >= 0")
 
@@ -99,6 +116,7 @@ class MixtureProfile:
             raise ValidationError(f"p1 must be in [0, 1], got {self.p1}")
         if not 0.0 < self.tail_rate <= 1.0:
             raise ValidationError(f"tail_rate must be in (0, 1], got {self.tail_rate}")
+        _require_int("n_entities", self.n_entities)
         if self.n_entities < 2:
             raise ValidationError(f"n_entities must be >= 2, got {self.n_entities}")
         strata = self.popularity_model

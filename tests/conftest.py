@@ -66,6 +66,38 @@ def brute_force_rank(scores: np.ndarray, gold: int, filter_ids: set[int],
     raise AssertionError(policy)
 
 
+def reference_load_dataset(directory, names=("train.txt", "valid.txt", "test.txt")):
+    """Naive dataset oracle: vocabularies, split id rows, train popularity.
+
+    Independent of kg_data: each split's lines go into a dict keyed by the
+    trimmed labels (dropping repeats), ids are handed out in first-appearance
+    order, and popularity is counted triple by triple.
+    """
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    splits = []
+    for name in names:
+        text = (directory / name).read_bytes().decode("utf-8")
+        triples: dict[tuple[str, str, str], None] = {}
+        for line in text.replace("\r\n", "\n").split("\n"):
+            if line.strip():
+                head, relation, tail = (label.strip() for label in line.split("\t"))
+                triples[(head, relation, tail)] = None
+        rows = []
+        for head, relation, tail in triples:
+            for label, vocab in ((head, entities), (relation, relations), (tail, entities)):
+                if label not in vocab:
+                    vocab[label] = len(vocab)
+            rows.append((entities[head], relations[relation], entities[tail]))
+        splits.append(rows)
+    popularity = [0] * len(entities)
+    for head, _, tail in splits[0]:
+        popularity[head] += 1
+        if tail != head:
+            popularity[tail] += 1
+    return list(entities), list(relations), splits, popularity
+
+
 @pytest.fixture
 def toy_dataset(tmp_path):
     """Small three-split dataset on disk; returns its directory."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -452,6 +453,40 @@ class TestHostileInputs:
         assert run_cli("synth", "--profile", path, "--n", "3", "--seed", "0",
                        "--out", str(tmp_path / "o.tsv")) == 1
         single_error_line(capsys, "validation")
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "explicit", "ranks": [1.5, 2]},
+        {"kind": "explicit", "ranks": [True, 2]},
+        {"kind": "mixture", "p1": 0.5, "tail_rate": 0.1, "n_entities": 10.5},
+    ], ids=["float-rank", "bool-rank", "float-n-entities"])
+    def test_non_integer_profile_count_rejected(self, tmp_path, capsys, profile):
+        path = write_profile(tmp_path / "p.json", profile)
+        out = tmp_path / "o.tsv"
+        assert run_cli("synth", "--profile", path, "--n", "2", "--seed", "0",
+                       "--out", str(out)) == 1
+        assert "must be an integer" in single_error_line(capsys, "validation")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "eval", "synth"])
+    def test_non_utf8_input_is_parse_error(self, toy_dataset, rankfile, tmp_path,
+                                           capsys, command):
+        profile = tmp_path / "p.json"
+        bad, argv = {
+            "stats": (toy_dataset / "train.txt", ["--dataset", str(toy_dataset)]),
+            "eval": (rankfile, ["--ranks", str(rankfile), "--entities", "10"]),
+            "synth": (profile, ["--profile", str(profile), "--n", "1", "--seed", "0",
+                                "--out", str(tmp_path / "o.tsv")]),
+        }[command]
+        bad.write_bytes(b"a\tr1\tb\n\xff\n")
+        assert run_cli(command, *argv) == 1
+        assert "not UTF-8" in single_error_line(capsys, "parse")
+
+    def test_underflowing_weights_still_score(self, rankfile, capsys):
+        # every raw weight (1e200 + delta)**-2 underflows to 0.0
+        assert run_cli("eval", "--ranks", str(rankfile), "--entities", "10",
+                       "--epsilon", "1e200", "--beta", "2") == 0
+        probe = json.loads(capsys.readouterr().out)["probe"]
+        assert math.isfinite(probe) and 0.0 <= probe <= 1.0
 
 
 def test_dispatch_returns_zero_for_help_and_version(capsys):

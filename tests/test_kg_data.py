@@ -3,30 +3,26 @@
 from __future__ import annotations
 
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probe_eval.errors import ParseError, ValidationError
-from probe_eval.kg_data import (DatasetStats, Triple, TripleSet, build_graph,
-                                compute_popularity, dataset_stats,
-                                export_vocabulary, load_dataset, load_split,
-                                write_triples)
-
-
-def triple_set(*rows: tuple[str, str, str], split: str = "") -> TripleSet:
-    return TripleSet([Triple(*row) for row in rows], split=split)
+from conftest import reference_load_dataset
+from probe_eval.errors import ParseError
+from probe_eval.kg_data import (DatasetStats, build_graph, compute_popularity,
+                                dataset_stats, export_vocabulary, load_dataset,
+                                load_split)
 
 
 class TestLoadSplit:
     def test_two_line_file(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("a\tr1\tb\nb\tr1\tc\n", encoding="utf-8")
-        ts = load_split(path)
-        assert [(t.head, t.relation, t.tail) for t in ts] == \
-            [("a", "r1", "b"), ("b", "r1", "c")]
+        assert load_split(path) == [("a", "r1", "b"), ("b", "r1", "c")]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -41,18 +37,15 @@ class TestLoadSplit:
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"a\tr\tb\r\nb\tr\tc\r\n")
-        ts = load_split(path)
-        assert len(ts) == 2
-        assert ts.triples[0].tail == "b"
+        assert load_split(path) == [("a", "r", "b"), ("b", "r", "c")]
 
     def test_duplicates_dropped_with_count(self, tmp_path, caplog):
         path = tmp_path / "t.txt"
         path.write_text("a\tr\tb\na\tr\tb\nb\tr\tc\na\tr\tb\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             ts = load_split(path)
-        assert len(ts) == 2
-        assert ts.duplicates_dropped == 2
-        assert "2 duplicate" in caplog.text
+        assert ts == [("a", "r", "b"), ("b", "r", "c")]
+        assert "dropped 2 duplicate" in caplog.text
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -73,37 +66,26 @@ class TestLoadSplit:
     def test_fields_are_whitespace_trimmed(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text(" a \tr\t b\n", encoding="utf-8")
-        t = load_split(path).triples[0]
-        assert (t.head, t.relation, t.tail) == ("a", "r", "b")
-
-    def test_roundtrip_reproduces_triples(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("a\tr\tb\nb\tr2\tc\nc\tr\ta\n", encoding="utf-8")
-        first = load_split(path)
-        out = tmp_path / "copy.txt"
-        write_triples(first, out)
-        second = load_split(out)
-        assert first.triples == second.triples
+        assert load_split(path) == [("a", "r", "b")]
 
 
 class TestBuildGraph:
     def test_counts(self):
-        g = build_graph(triple_set(("a", "r", "b")), triple_set(),
-                        triple_set(("a", "r", "c")))
+        g = build_graph([("a", "r", "b")], [], [("a", "r", "c")])
         assert g.n_entities == 3
         assert g.n_relations == 1
 
     def test_all_empty(self):
-        g = build_graph(triple_set(), triple_set(), triple_set())
+        g = build_graph([], [], [])
         assert g.n_entities == 0
         assert g.n_relations == 0
         assert g.train.shape == (0, 3)
 
     def test_first_appearance_order(self):
         g = build_graph(
-            triple_set(("b", "r2", "a"), ("c", "r1", "b")),
-            triple_set(("d", "r1", "a")),
-            triple_set(("e", "r3", "c")),
+            [("b", "r2", "a"), ("c", "r1", "b")],
+            [("d", "r1", "a")],
+            [("e", "r3", "c")],
         )
         assert g.entity_labels == ["b", "a", "c", "d", "e"]
         assert g.relation_labels == ["r2", "r1", "r3"]
@@ -123,41 +105,77 @@ class TestBuildGraph:
                 assert 0 <= r < g.n_relations
                 assert 0 <= t < g.n_entities
 
-    def test_within_split_duplicates_dropped(self):
-        g = build_graph(triple_set(("a", "r", "b"), ("a", "r", "b")),
-                        triple_set(), triple_set())
-        assert len(g.train) == 1
+
+# One line of a split file: a triple with padded fields, or a blank or
+# whitespace-only line.  Few labels, so duplicates within and across
+# splits and self-loops are common.
+_padding = st.sampled_from(["", " ", "  "])
+
+
+def _padded(*labels: str):
+    return st.builds(lambda pad, label, end: pad + label + end,
+                     _padding, st.sampled_from(labels), _padding)
+
+
+_entity = _padded("e0", "e1", "e2", "e3")
+_triple_line = st.builds(lambda *fields: "\t".join(fields),
+                         _entity, _padded("r0", "r1"), _entity)
+_line = st.one_of(_triple_line, st.sampled_from(["", " ", "\t\t", " \t "]))
+_split_file = st.tuples(st.lists(st.tuples(_line, st.sampled_from(["\n", "\r\n"])),
+                                 max_size=12),
+                        st.booleans())
+
+
+class TestLoadDatasetParity:
+    @given(st.tuples(_split_file, _split_file, _split_file))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loader(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for name, (lines, final_newline) in zip(
+                    ("train.txt", "valid.txt", "test.txt"), files):
+                text = "".join(line + end for line, end in lines)
+                if lines and not final_newline:
+                    text = text[:-len(lines[-1][1])]
+                (directory / name).write_bytes(text.encode("utf-8"))
+            graph, pop = load_dataset(directory)
+            entities, relations, splits, popularity = reference_load_dataset(directory)
+        assert graph.entity_labels == entities
+        assert graph.relation_labels == relations
+        for array, rows in zip((graph.train, graph.valid, graph.test), splits):
+            assert array.dtype == np.int64 and array.shape == (len(rows), 3)
+            assert [tuple(row) for row in array.tolist()] == rows
+        assert pop.counts.tolist() == popularity
 
 
 class TestPopularity:
     def test_direct_count(self):
-        g = build_graph(triple_set(("a", "r", "b"), ("a", "r", "c")),
-                        triple_set(), triple_set())
+        g = build_graph([("a", "r", "b"), ("a", "r", "c")], [], [])
         pop = compute_popularity(g)
         assert pop[g.entity_ids["a"]] == 2
         assert pop[g.entity_ids["b"]] == 1
         assert pop[g.entity_ids["c"]] == 1
 
     def test_self_loop_counts_once(self):
-        g = build_graph(triple_set(("a", "r", "a")), triple_set(), triple_set())
+        g = build_graph([("a", "r", "a")], [], [])
         assert compute_popularity(g)[g.entity_ids["a"]] == 1
 
     def test_valid_test_only_entities_zero(self):
-        g = build_graph(triple_set(("a", "r", "b")),
-                        triple_set(("c", "r", "a")),
-                        triple_set(("a", "r", "d")))
+        g = build_graph([("a", "r", "b")],
+                        [("c", "r", "a")],
+                        [("a", "r", "d")])
         pop = compute_popularity(g)
         assert pop[g.entity_ids["c"]] == 0
         assert pop[g.entity_ids["d"]] == 0
 
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3),
                               st.integers(0, 12)),
-                    min_size=0, max_size=60))
+                    min_size=0, max_size=60, unique=True))
     @settings(max_examples=60)
     def test_sum_identity(self, rows):
         """sum(counts) == 2*(non-self-loop train triples) + self-loops."""
         triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows]
-        g = build_graph(triple_set(*triples), triple_set(), triple_set())
+        g = build_graph(triples, [], [])
         pop = compute_popularity(g)
         self_loops = int(np.count_nonzero(g.train[:, 0] == g.train[:, 2])) \
             if len(g.train) else 0
@@ -169,12 +187,12 @@ class TestPopularity:
 
 class TestDatasetStats:
     def test_single_triple(self):
-        g = build_graph(triple_set(("a", "r", "b")), triple_set(), triple_set())
+        g = build_graph([("a", "r", "b")], [], [])
         stats = dataset_stats(g, compute_popularity(g))
         assert stats == DatasetStats(2, 1, 1, 1.0, 1)
 
     def test_degenerate_empty_graph(self):
-        g = build_graph(triple_set(), triple_set(), triple_set())
+        g = build_graph([], [], [])
         stats = dataset_stats(g, compute_popularity(g))
         assert stats.delta_avg == 0.0
         assert not stats.delta_avg_defined
@@ -198,9 +216,8 @@ class TestDatasetStats:
         assert len({len(line) for line in lines}) == 1  # right-aligned values
 
     def test_display_rounding_one_decimal(self):
-        g = build_graph(triple_set(("a", "r", "b"), ("a", "r", "c"),
-                                   ("a", "r2", "d")),
-                        triple_set(), triple_set())
+        g = build_graph([("a", "r", "b"), ("a", "r", "c"), ("a", "r2", "d")],
+                        [], [])
         stats = dataset_stats(g, compute_popularity(g))
         assert stats.delta_avg == 1.5
         assert "1.5" in stats.to_text()
@@ -218,7 +235,3 @@ class TestVocabularyExport:
             assert int(eid) == i
             assert g.entity_ids[label] == i
 
-
-def test_triple_rejects_empty_fields():
-    with pytest.raises(ValidationError):
-        Triple("", "r", "b")

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from conftest import make_record, make_records
 from probe_eval.errors import ValidationError
 from probe_eval.metrics import (MetricConfig, default_bucket_edges, hits_at_k,
-                                mr, mrr, probe_score, rt_affine, rt_raw,
-                                stratified_breakdown, weight)
+                                mr, mrr, popularity_weights, probe_score,
+                                rt_affine, rt_raw, stratified_breakdown, weight)
 from probe_eval.synthetic import oracle_probe
 
 alphas_pos = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
@@ -171,6 +171,25 @@ class TestProbeScore:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             probe_score([], MetricConfig(affine=False))
+
+    def test_weights_do_not_underflow(self):
+        """(1 + 5000)**-90 is 0.0 in floats; the scaled weights are not."""
+        assert weight(5_000, 90.0, 1.0) == 0.0
+        records = make_records([1, 7], pops=[5_000, 6_000])
+        score = probe_score(records, MetricConfig(alpha=1.0, beta=90.0, affine=True,
+                                                  entity_count=10))
+        # weights 1 and (6001/5001)**-90 ~ 7.5e-8: the rank-1 record dominates
+        assert 0.0 <= score <= 1.0
+        assert score == pytest.approx(1.0, abs=1e-6)
+
+    def test_largest_weight_is_exactly_one(self):
+        pops = np.array([40, 3, 10**6])
+        for beta in (0.0, 0.4, 2.0, 90.0):
+            weights = popularity_weights(pops, MetricConfig(beta=beta, affine=False))
+            assert weights[1] == 1.0  # the least popular gold
+            assert weights.max() == 1.0
+        unweighted = popularity_weights(pops, MetricConfig(beta=0.0, affine=False))
+        assert unweighted.tolist() == [1.0] * 3
 
     def test_rank_above_entity_count_rejected_in_affine(self):
         cfg = MetricConfig(affine=True, entity_count=5)

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_rank
 from probe_eval.errors import ParseError, ValidationError
-from probe_eval.kg_data import (Triple, TripleSet, build_graph,
-                                compute_popularity, load_dataset)
+from probe_eval.kg_data import build_graph, compute_popularity, load_dataset
 from probe_eval.ranking import (Direction, Query, RankRecord, ScoreRow,
                                 TiePolicy, filter_set, load_rank_file,
                                 make_queries, rank_all, rank_of_gold,
@@ -22,8 +21,7 @@ from probe_eval.ranking import (Direction, Query, RankRecord, ScoreRow,
 
 
 def graph_of(*train, valid=(), test=()):
-    to_set = lambda rows: TripleSet([Triple(*r) for r in rows])
-    return build_graph(to_set(train), to_set(valid), to_set(test))
+    return build_graph(train, valid, test)
 
 
 def query_for(gold_id: int, n: int = 3, direction=Direction.TAIL,
