@@ -18,7 +18,7 @@ from .metrics import (MetricConfig, Stratum, default_bucket_edges, hits_at_k,
                       stratified_breakdown, weight)
 from .ranking import (Direction, Query, RankRecord, RankTable, ScoreRow,
                       TiePolicy, filter_set, load_rank_file, make_queries,
-                      rank_all, rank_of_gold, rank_score_file, write_rank_file)
+                      rank_of_gold, rank_score_file, write_rank_file)
 from .sweep import (CellRanking, Flip, RankBin, SweepGrid, SweepResult,
                     find_flips, load_surface, rank_histogram, run_sweep,
                     surface_export)
@@ -36,7 +36,7 @@ __all__ = [
     "hits_at_k", "mr", "mrr", "probe_score", "rt_affine", "rt_raw",
     "stratified_breakdown", "weight",
     "Direction", "Query", "RankRecord", "RankTable", "ScoreRow", "TiePolicy",
-    "filter_set", "load_rank_file", "make_queries", "rank_all", "rank_of_gold",
+    "filter_set", "load_rank_file", "make_queries", "rank_of_gold",
     "rank_score_file", "write_rank_file",
     "CellRanking", "Flip", "RankBin", "SweepGrid", "SweepResult", "find_flips",
     "load_surface", "rank_histogram", "run_sweep", "surface_export",

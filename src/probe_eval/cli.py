@@ -34,6 +34,8 @@ from .sweep import (DEFAULT_RANK_BINS, SweepGrid, histogram_export,
 from .synthetic import generate, load_profile
 
 PROG = "probe-eval"
+THREADS_HELP = ("accepted (>= 1) and recorded in any manifest written; "
+                "no command uses threads")
 
 logger = logging.getLogger(__name__)
 
@@ -241,7 +243,7 @@ def _cmd_rank(args, argv: list[str]) -> int:
     graph, pop = _load_dataset_from_args(args)
     tie = _tie_policy(args)
     records = rank_score_file(args.scores, graph, pop, tie, raw=args.raw,
-                              threads=args.threads, allow_partial=args.allow_partial)
+                              allow_partial=args.allow_partial)
     write_rank_file(records, args.out)
     manifest = RunManifest("rank", argv, config={
         "tie": tie.policy, "seed": tie.seed, "raw": args.raw, "threads": args.threads,
@@ -416,8 +418,7 @@ def build_parser() -> _Parser:
                    help="rank against all candidates (disable the filtered protocol)")
     p.add_argument("--allow-partial", action="store_true",
                    help="permit score files that do not cover every test query")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for ranking score rows")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_rank)
 
@@ -433,8 +434,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strata", default="auto",
                    help="'auto' or comma-separated popularity bucket edges from 0")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and recorded in the manifest; only rank uses threads")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_eval)
 
@@ -449,8 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-affine", action="store_true")
     p.add_argument("--bins", default=None,
                    help="comma-separated rank histogram edges starting at 1")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and recorded in the manifest; only rank uses threads")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_sweep)
 
@@ -463,8 +462,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hits", default=",".join(map(str, DEFAULT_HITS_KS)))
     p.add_argument("--strata", default="auto")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for a uniform command line; only rank uses threads")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("synth", help="generate a synthetic rank file from a profile")
@@ -498,9 +496,6 @@ def dispatch(argv: Sequence[str]) -> int:
         return 1
     except ParseError as exc:
         sys.stderr.write(f"error[parse]: {exc}\n")
-        return 1
-    except UnicodeDecodeError as exc:
-        sys.stderr.write(f"error[parse]: input is not UTF-8 text: {exc}\n")
         return 1
     except ValidationError as exc:
         sys.stderr.write(f"error[validation]: {exc}\n")

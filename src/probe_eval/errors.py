@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the text-input opener.
 
 ValidationError covers bad inputs, bad configuration, and contract
 violations (CLI exit code 1).  I/O failures are left to the builtin
@@ -6,6 +6,10 @@ OSError family (CLI exit code 2).
 """
 
 from __future__ import annotations
+
+import contextlib
+from pathlib import Path
+from typing import Iterator, TextIO
 
 
 class ValidationError(ValueError):
@@ -25,3 +29,13 @@ class ParseError(ValidationError):
         super().__init__(f"{loc}{message}")
         self.path = path
         self.line = line
+
+
+@contextlib.contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """Read a UTF-8 file, dropping a byte-order mark; bad bytes raise ParseError."""
+    try:
+        with Path(path).open("r", encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text ({exc.reason})", path=str(path)) from None

@@ -14,11 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, open_text
 
 logger = logging.getLogger(__name__)
-
-SPLIT_NAMES = ("train", "valid", "test")
 
 Labels = tuple[str, str, str]  # (head, relation, tail)
 
@@ -34,7 +32,7 @@ def load_split(path: str | Path) -> list[Labels]:
     path = Path(path)
     triples: dict[Labels, None] = {}
     read = 0
-    with path.open("r", encoding="utf-8", newline=None) as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line.strip():
@@ -85,7 +83,7 @@ class KnowledgeGraph:
         self.train = train
         self.valid = valid
         self.test = test
-        # lazily built (relation, known-entity) -> candidate index; see ranking.filter_set
+        # lazily built (known entity, relation) -> candidate index; see ranking.filter_set
         self._filter_index = None
 
     @property
@@ -95,11 +93,6 @@ class KnowledgeGraph:
     @property
     def n_relations(self) -> int:
         return len(self.relation_labels)
-
-    def split(self, name: str) -> np.ndarray:
-        if name not in SPLIT_NAMES:
-            raise ValidationError(f"unknown split {name!r}; expected one of {SPLIT_NAMES}")
-        return getattr(self, name)
 
 
 def build_graph(train: Sequence[Labels], valid: Sequence[Labels],

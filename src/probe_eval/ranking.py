@@ -13,14 +13,13 @@ import enum
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, open_text
 from .kg_data import KnowledgeGraph, PopularityIndex
 
 logger = logging.getLogger(__name__)
@@ -156,7 +155,7 @@ def _label_entropy(label: str) -> int:
 
 
 def _tie_entropy(seed: int, query: Query) -> list[int]:
-    """Per-query PRNG entropy: stable across row order and parallelism."""
+    """Per-query PRNG entropy: independent of row order."""
     return [
         seed,
         _label_entropy(query.head),
@@ -182,82 +181,75 @@ def make_queries(graph: KnowledgeGraph, pop: PopularityIndex) -> list[Query]:
     return queries
 
 
-class _FilterIndex:
-    """(relation, known entity) -> entity ids forming known-true triples."""
+def _csr_index(known: np.ndarray, relation: np.ndarray, candidate: np.ndarray,
+               graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted unique ``known * n_relations + relation`` codes, offsets, ids.
 
-    def __init__(self, graph: KnowledgeGraph):
-        heads_by_rt: dict[tuple[int, int], set[int]] = {}
-        tails_by_hr: dict[tuple[int, int], set[int]] = {}
-        for split in (graph.train, graph.valid, graph.test):
-            for h, r, t in split:
-                heads_by_rt.setdefault((int(r), int(t)), set()).add(int(h))
-                tails_by_hr.setdefault((int(h), int(r)), set()).add(int(t))
-        self.heads_by_rt = heads_by_rt
-        self.tails_by_hr = tails_by_hr
-
-
-def _filter_index(graph: KnowledgeGraph) -> _FilterIndex:
-    if graph._filter_index is None:
-        graph._filter_index = _FilterIndex(graph)
-    return graph._filter_index
+    The candidates of codes[i] are ids[offsets[i]:offsets[i + 1]], sorted
+    and distinct: a triple found in more than one split lists its
+    candidate once.
+    """
+    pairs = np.sort((known * graph.n_relations + relation) * graph.n_entities + candidate)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # pairs and codes are >= 0
+    codes, ids = np.divmod(pairs, graph.n_entities)
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[starts], np.append(starts, len(codes)), ids
 
 
-def filter_set(query: Query, graph: KnowledgeGraph) -> set[int]:
-    """Candidates (other than the gold) that complete a known-true triple."""
+def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
+    """Candidates (other than the gold) that complete a known-true triple.
+
+    Sorted distinct int64 entity ids, looked up in an index over train,
+    valid and test that is built on the graph's first call.
+    """
     if query.gold_id < 0 or query.relation_id < 0:
         raise ValidationError(f"query {query.key()} is not resolved against the graph")
-    index = _filter_index(graph)
-    if query.direction is Direction.HEAD:
-        known = index.heads_by_rt.get((query.relation_id, query.tail_id), set())
-    else:
-        known = index.tails_by_hr.get((query.head_id, query.relation_id), set())
-    return known - {query.gold_id}
+    index = graph._filter_index
+    if index is None:
+        heads, relations, tails = np.concatenate(
+            (graph.train, graph.valid, graph.test), dtype=np.int64).T
+        index = graph._filter_index = {
+            Direction.HEAD: _csr_index(tails, relations, heads, graph),
+            Direction.TAIL: _csr_index(heads, relations, tails, graph)}
+    codes, offsets, ids = index[query.direction]
+    known = query.tail_id if query.direction is Direction.HEAD else query.head_id
+    code = known * graph.n_relations + query.relation_id
+    pos = int(np.searchsorted(codes, code))
+    if pos == len(codes) or codes[pos] != code:
+        return ids[:0]
+    found = ids[offsets[pos]:offsets[pos + 1]]
+    return found[found != query.gold_id]
 
 
-def rank_of_gold(row: ScoreRow, filter_ids: set[int], tie: TiePolicy) -> RankRecord:
+def rank_of_gold(row: ScoreRow, filter_ids: np.ndarray | Collection[int],
+                 tie: TiePolicy) -> RankRecord:
     """Rank the gold entity among non-filtered candidates.
 
-    rank = 1 + (# strictly better) + tie adjustment.  Non-finite scores are
-    rejected; the gold entity must not be in the filter set.
+    rank = 1 + (# strictly better) + tie adjustment.  Both counts are taken
+    over the whole row, less the filtered candidates' share, so filter_ids
+    must be distinct.  Non-finite scores are rejected; the gold entity must
+    not be in the filter set.
     """
     query = row.query
     gold = query.gold_id
     scores = np.asarray(row.scores, dtype=np.float64)
     if gold < 0 or gold >= len(scores):
         raise ValidationError(f"gold id {gold} outside score row of length {len(scores)}")
-    if gold in filter_ids:
+    if not isinstance(filter_ids, np.ndarray):
+        filter_ids = np.fromiter(filter_ids, dtype=np.int64, count=len(filter_ids))
+    if np.any(filter_ids == gold):
         raise ValidationError(f"gold entity {query.gold!r} present in its own filter set")
     if not np.isfinite(scores).all():
         raise ValidationError(f"non-finite score in row for query {query.key()}")
 
-    allowed = np.ones(len(scores), dtype=bool)
-    if filter_ids:
-        allowed[np.fromiter(filter_ids, dtype=np.int64)] = False
-    allowed[gold] = False
-
     gold_score = scores[gold]
-    candidates = scores[allowed]
-    better = int(np.count_nonzero(candidates > gold_score))
-    ties = int(np.count_nonzero(candidates == gold_score))
+    filtered = scores[filter_ids]
+    better = (np.count_nonzero(scores > gold_score)
+              - np.count_nonzero(filtered > gold_score))
+    ties = (np.count_nonzero(scores == gold_score) - 1  # the gold itself
+            - np.count_nonzero(filtered == gold_score))
     rank = 1 + better + tie.adjustment(ties, query)
     return RankRecord(query=query, rank=rank)
-
-
-def rank_all(rows: Iterable[ScoreRow], graph: KnowledgeGraph, tie: TiePolicy,
-             raw: bool = False, threads: int = 1) -> list[RankRecord]:
-    """Rank many score rows; results come back in input order."""
-    rows = list(rows)
-
-    def one(row: ScoreRow) -> RankRecord:
-        ids = set() if raw else filter_set(row.query, graph)
-        return rank_of_gold(row, ids, tie)
-
-    if threads <= 1:
-        return [one(row) for row in rows]
-    if rows:
-        _filter_index(graph)  # build once before fan-out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +270,7 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
     gold_ids: list[int] = []
     first_line: dict[str, int] = {}
     entity_ids = graph.entity_ids if graph is not None else None
-    with path.open("r", encoding="utf-8", newline=None) as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line.strip():
@@ -335,10 +327,11 @@ def write_rank_file(records: Iterable[RankRecord], path: str | Path) -> None:
                          f"{q.direction.value}\t{rec.rank}\n")
 
 
-def iter_score_rows(path: str | Path, graph: KnowledgeGraph) -> Iterator[ScoreRow]:
-    """Read JSON-lines score rows, validating entity order and length."""
+def iter_score_rows(path: str | Path,
+                    graph: KnowledgeGraph) -> Iterator[tuple[int, ScoreRow]]:
+    """Yield (line number, score row) pairs, validating entity order and length."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -350,63 +343,68 @@ def iter_score_rows(path: str | Path, graph: KnowledgeGraph) -> Iterator[ScoreRo
             try:
                 head, relation, tail = obj["head"], obj["relation"], obj["tail"]
                 direction, scores = obj["direction"], obj["scores"]
-            except (KeyError, TypeError):
+                hid = graph.entity_ids.get(head, -1)
+                rid = graph.relation_ids.get(relation, -1)
+                tid = graph.entity_ids.get(tail, -1)
+            except (KeyError, TypeError):  # TypeError: not an object, or a list label
                 raise ParseError(
                     "score row needs head, relation, tail, direction, scores",
                     path=str(path), line=lineno) from None
             if direction not in (Direction.HEAD.value, Direction.TAIL.value):
                 raise ParseError(f"direction must be 'head' or 'tail', got {direction!r}",
                                  path=str(path), line=lineno)
-            hid = graph.entity_ids.get(head, -1)
-            rid = graph.relation_ids.get(relation, -1)
-            tid = graph.entity_ids.get(tail, -1)
             if min(hid, rid, tid) < 0:
                 raise ValidationError(
                     f"{path}:{lineno}: triple ({head}, {relation}, {tail}) "
                     "references labels outside the dataset vocabulary")
             try:
                 vector = np.asarray(scores, dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ParseError("scores must be a list of numbers",
                                  path=str(path), line=lineno) from None
             if vector.ndim != 1 or len(vector) != graph.n_entities:
                 raise ValidationError(
                     f"{path}:{lineno}: scores length {vector.size} != "
                     f"entity count {graph.n_entities}")
-            yield ScoreRow(
+            yield lineno, ScoreRow(
                 query=Query(head, relation, tail, Direction(direction),
                             head_id=hid, relation_id=rid, tail_id=tid),
                 scores=vector)
 
 
 def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: PopularityIndex,
-                    tie: TiePolicy, raw: bool = False, threads: int = 1,
+                    tie: TiePolicy, raw: bool = False,
                     allow_partial: bool = False) -> list[RankRecord]:
-    """Rank a score file against a dataset's test queries.
+    """Rank a score file's rows, each as it is read, against the test queries.
 
     Every one of the 2*|test| queries must appear exactly once unless
-    allow_partial is set; rows that are not test queries are rejected.
-    Output order is the canonical query order (head-masked then
-    tail-masked per test triple), independent of file order.
+    allow_partial is set; rows that are not test queries are rejected, and
+    an error in a row names its ``path:line``.  Output order is the
+    canonical query order (head-masked then tail-masked per test triple).
     """
     queries = make_queries(graph, pop)
     by_key = {q.key(): i for i, q in enumerate(queries)}
-    rows: dict[int, ScoreRow] = {}
-    for row in iter_score_rows(path, graph):
+    ranks = np.zeros(len(queries), dtype=np.int64)  # 0: no row read yet
+    for lineno, row in iter_score_rows(path, graph):
         idx = by_key.get(row.query.key())
         if idx is None:
+            raise ValidationError(f"{path}:{lineno}: score row {row.query.key()} "
+                                  "does not match any test query")
+        if ranks[idx]:
             raise ValidationError(
-                f"score row {row.query.key()} does not match any test query")
-        if idx in rows:
-            raise ValidationError(f"duplicate score row for query {row.query.key()}")
-        # re-attach the canonical query (carries gold popularity)
-        rows[idx] = ScoreRow(query=queries[idx], scores=row.scores)
+                f"{path}:{lineno}: duplicate score row for query {row.query.key()}")
+        # the canonical query carries the gold popularity
+        query = queries[idx]
+        excluded = () if raw else filter_set(query, graph)
+        try:
+            ranks[idx] = rank_of_gold(ScoreRow(query, row.scores), excluded, tie).rank
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
-    if not allow_partial and len(rows) != len(queries):
-        missing = next(i for i in range(len(queries)) if i not in rows)
+    seen = np.flatnonzero(ranks)
+    if not allow_partial and len(seen) != len(queries):
+        missing = int(np.flatnonzero(ranks == 0)[0])
         raise ValidationError(
-            f"score file covers {len(rows)} of {len(queries)} test queries; "
+            f"score file covers {len(seen)} of {len(queries)} test queries; "
             f"first missing: {queries[missing].key()}")
-
-    ordered = [rows[i] for i in sorted(rows)]
-    return rank_all(ordered, graph, tie, raw=raw, threads=threads)
+    return [RankRecord(query=queries[i], rank=int(ranks[i])) for i in seen]

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .ranking import Direction, Query, RankRecord
 
 _TAIL_SUM_TOL = 1e-9
@@ -178,7 +178,7 @@ def profile_from_dict(data: dict) -> RankProfile:
 
 
 def load_profile(path: str | Path) -> RankProfile:
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:

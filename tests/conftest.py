@@ -101,7 +101,11 @@ def reference_load_dataset(directory, names=("train.txt", "valid.txt", "test.txt
 @pytest.fixture
 def toy_dataset(tmp_path):
     """Small three-split dataset on disk; returns its directory."""
-    directory = tmp_path / "toyds"
+    return write_toy_dataset(tmp_path / "toyds")
+
+
+def write_toy_dataset(directory):
+    """Write the toy train/valid/test files into a new directory; return it."""
     directory.mkdir()
     (directory / "train.txt").write_text(
         "a\tr1\tb\n"

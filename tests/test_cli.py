@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import write_toy_dataset
 from probe_eval.cli import dispatch
 
 
@@ -84,22 +89,24 @@ class TestStats:
         assert "nope" in err
 
 
+# toy test split: (d, r1, b) and (a, r2, c); entity order a,b,c,d
+TOY_SCORE_ROWS = [
+    {"head": "d", "relation": "r1", "tail": "b", "direction": "head",
+     "scores": [0.1, 0.2, 0.3, 0.9]},
+    {"head": "d", "relation": "r1", "tail": "b", "direction": "tail",
+     "scores": [0.5, 0.4, 0.3, 0.2]},
+    {"head": "a", "relation": "r2", "tail": "c", "direction": "head",
+     "scores": [0.9, 0.1, 0.2, 0.3]},
+    {"head": "a", "relation": "r2", "tail": "c", "direction": "tail",
+     "scores": [0.2, 0.8, 0.4, 0.1]},
+]
+
+
 class TestRank:
     @pytest.fixture
     def scores_file(self, toy_dataset, tmp_path):
-        # toy test split: (d, r1, b) and (a, r2, c); entity order a,b,c,d
-        rows = [
-            {"head": "d", "relation": "r1", "tail": "b", "direction": "head",
-             "scores": [0.1, 0.2, 0.3, 0.9]},
-            {"head": "d", "relation": "r1", "tail": "b", "direction": "tail",
-             "scores": [0.5, 0.4, 0.3, 0.2]},
-            {"head": "a", "relation": "r2", "tail": "c", "direction": "head",
-             "scores": [0.9, 0.1, 0.2, 0.3]},
-            {"head": "a", "relation": "r2", "tail": "c", "direction": "tail",
-             "scores": [0.2, 0.8, 0.4, 0.1]},
-        ]
         path = tmp_path / "scores.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in rows),
+        path.write_text("".join(json.dumps(r) + "\n" for r in TOY_SCORE_ROWS),
                         encoding="utf-8")
         return path
 
@@ -467,19 +474,26 @@ class TestHostileInputs:
         assert "must be an integer" in single_error_line(capsys, "validation")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["stats", "eval", "synth"])
+    @pytest.mark.parametrize("command", ["stats", "stats-valid", "eval", "sweep-second",
+                                         "synth"])
     def test_non_utf8_input_is_parse_error(self, toy_dataset, rankfile, tmp_path,
                                            capsys, command):
         profile = tmp_path / "p.json"
+        second = tmp_path / "second.tsv"
+        second.write_text(rankfile.read_text(), encoding="utf-8")
         bad, argv = {
             "stats": (toy_dataset / "train.txt", ["--dataset", str(toy_dataset)]),
+            "stats-valid": (toy_dataset / "valid.txt", ["--dataset", str(toy_dataset)]),
             "eval": (rankfile, ["--ranks", str(rankfile), "--entities", "10"]),
+            "sweep-second": (second, ["--ranks", f"a={rankfile}", f"b={second}",
+                                      "--entities", "10", "--out", str(tmp_path / "o")]),
             "synth": (profile, ["--profile", str(profile), "--n", "1", "--seed", "0",
                                 "--out", str(tmp_path / "o.tsv")]),
         }[command]
         bad.write_bytes(b"a\tr1\tb\n\xff\n")
-        assert run_cli(command, *argv) == 1
-        assert "not UTF-8" in single_error_line(capsys, "parse")
+        assert run_cli(command.split("-")[0], *argv) == 1
+        line = single_error_line(capsys, "parse")
+        assert f"{bad}: input is not UTF-8" in line
 
     def test_underflowing_weights_still_score(self, rankfile, capsys):
         # every raw weight (1e200 + delta)**-2 underflows to 0.0
@@ -487,6 +501,76 @@ class TestHostileInputs:
                        "--epsilon", "1e200", "--beta", "2") == 0
         probe = json.loads(capsys.readouterr().out)["probe"]
         assert math.isfinite(probe) and 0.0 <= probe <= 1.0
+
+
+def _mutate_score_lines(lines: list[bytes], data) -> tuple[list[bytes], str]:
+    """One hostile edit of a JSON-lines score file, drawn by Hypothesis."""
+    kind = data.draw(st.sampled_from([
+        "truncate", "0xff", "nan", "null", "string", "missing-key", "duplicate",
+        "bom", "list-label", "huge-int"]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines = list(lines)
+    if kind == "truncate":
+        lines[i] = lines[i][:data.draw(st.integers(0, max(0, len(lines[i]) - 1)))]
+    elif kind == "0xff":
+        at = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + b"\xff" + lines[i][at:]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    else:
+        try:
+            row = json.loads(lines[i])
+        except ValueError:  # an earlier edit broke this line
+            return lines, kind
+        scores = row.get("scores") if isinstance(row, dict) else None
+        if not row or not isinstance(scores, list) or not scores:
+            return lines, kind
+        if kind == "missing-key":
+            row.pop(data.draw(st.sampled_from(sorted(row))))
+        elif kind == "list-label":
+            label = data.draw(st.sampled_from(["head", "relation", "tail"]))
+            row[label] = [row.get(label)]
+        else:
+            scores[data.draw(st.integers(0, len(scores) - 1))] = {
+                "nan": float("nan"), "null": None, "string": "high",
+                "huge-int": 10 ** 400}[kind]
+        lines[i] = json.dumps(row).encode("utf-8")
+    return lines, kind
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("rank-fuzz")
+    write_toy_dataset(directory / "toyds")
+    return directory
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_fuzzed_score_file_keeps_the_cli_contract(fuzz_dir, data):
+    """Exit 0, 1 or 2; stderr empty on success, else one error[...] line."""
+    clean = [json.dumps(row).encode("utf-8") for row in TOY_SCORE_ROWS]
+    lines, kinds = clean, []
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines, kind = _mutate_score_lines(lines, data)
+        kinds.append(kind)
+    scores = fuzz_dir / "scores.jsonl"
+    scores.write_bytes(b"\n".join(lines) + b"\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = dispatch(["rank", "--scores", str(scores), "--dataset",
+                         str(fuzz_dir / "toyds"), "--out", str(fuzz_dir / "out.tsv")])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error["), err
+    if kinds == ["bom"]:
+        assert code == 0
 
 
 def test_dispatch_returns_zero_for_help_and_version(capsys):

@@ -69,6 +69,15 @@ class TestLoadSplit:
         assert load_split(path) == [("a", "r", "b")]
 
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        (tmp_path / "train.txt").write_bytes(b"\xef\xbb\xbfa\tr\tb\n")
+        (tmp_path / "valid.txt").write_bytes(b"")
+        (tmp_path / "test.txt").write_bytes(b"a\tr\tb\n")
+        g, pop = load_dataset(tmp_path)
+        assert g.entity_labels == ["a", "b"]
+        assert pop[g.entity_ids["a"]] == 1
+
+
 class TestBuildGraph:
     def test_counts(self):
         g = build_graph([("a", "r", "b")], [], [("a", "r", "c")])

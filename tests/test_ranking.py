@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import pathlib
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +19,39 @@ from probe_eval.errors import ParseError, ValidationError
 from probe_eval.kg_data import build_graph, compute_popularity, load_dataset
 from probe_eval.ranking import (Direction, Query, RankRecord, ScoreRow,
                                 TiePolicy, filter_set, load_rank_file,
-                                make_queries, rank_all, rank_of_gold,
-                                rank_score_file, write_rank_file)
+                                make_queries, rank_of_gold, rank_score_file,
+                                write_rank_file)
 
 
 def graph_of(*train, valid=(), test=()):
     return build_graph(train, valid, test)
+
+
+SPLITS = ("train", "valid", "test")
+
+
+def graph_in_splits(rows, splits):
+    """A graph where the unique id triple rows[i] sits in each split of
+    splits[i]; the first row is always a test triple."""
+    rows = list(dict.fromkeys(rows))
+    splits = [set(s) for s in splits[:len(rows)]]
+    splits[0].add("test")
+    triples = {name: [(f"e{h}", f"r{r}", f"e{t}") for (h, r, t), where in zip(rows, splits)
+                      if name in where] for name in SPLITS}
+    return build_graph(triples["train"], triples["valid"], triples["test"])
+
+
+def naive_filter(graph, query) -> set[int]:
+    """Other entities that complete a known triple, by a scan of all three splits."""
+    out = set()
+    for h, r, t in np.vstack([graph.train, graph.valid, graph.test]).tolist():
+        if r != query.relation_id:
+            continue
+        if query.direction is Direction.HEAD and t == query.tail_id:
+            out.add(h)
+        if query.direction is Direction.TAIL and h == query.head_id:
+            out.add(t)
+    return out - {query.gold_id}
 
 
 def query_for(gold_id: int, n: int = 3, direction=Direction.TAIL,
@@ -65,13 +95,13 @@ class TestFilterSet:
         g = graph_of(("a", "r", "b"), ("c", "r", "b"), test=(("a", "r", "b"),))
         pop = compute_popularity(g)
         head_q = make_queries(g, pop)[0]
-        assert filter_set(head_q, g) == {g.entity_ids["c"]}
+        assert filter_set(head_q, g).tolist() == [g.entity_ids["c"]]
 
     def test_no_shared_pairs_gives_empty_filter(self):
         g = graph_of(("a", "r", "b"), ("c", "r2", "d"), test=(("a", "r", "b"),))
         pop = compute_popularity(g)
         for q in make_queries(g, pop):
-            assert filter_set(q, g) == set()
+            assert filter_set(q, g).tolist() == []
 
     def test_unresolved_query_rejected(self):
         g = graph_of(("a", "r", "b"))
@@ -81,29 +111,17 @@ class TestFilterSet:
     @given(rows=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2),
                                    st.integers(0, 9)),
                          min_size=1, max_size=50),
-           split_at=st.integers(0, 49))
+           splits=st.lists(st.sets(st.sampled_from(SPLITS), min_size=1),
+                           min_size=50, max_size=50))
     @settings(max_examples=50)
-    def test_matches_brute_force_substitution(self, rows, split_at):
-        """Filter == all entities whose substitution hits a known triple."""
-        triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows]
-        train, test = triples[:max(1, split_at)], triples[max(1, split_at):]
-        if not test:
-            test = [triples[-1]]
-        g = graph_of(*train, test=test)
+    def test_matches_brute_force_substitution(self, rows, splits):
+        """Filter == every other entity whose substitution hits a known triple,
+        with triples repeated across train, valid and test."""
+        g = graph_in_splits(rows, splits)
         pop = compute_popularity(g)
-        known = {tuple(row) for row in np.vstack([g.train, g.valid, g.test])}
         for q in make_queries(g, pop):
-            expected = set()
-            for candidate in range(g.n_entities):
-                if candidate == q.gold_id:
-                    continue
-                if q.direction is Direction.HEAD:
-                    probe = (candidate, q.relation_id, q.tail_id)
-                else:
-                    probe = (q.head_id, q.relation_id, candidate)
-                if probe in known:
-                    expected.add(candidate)
-            assert filter_set(q, g) == expected
+            got = filter_set(q, g)
+            assert got.tolist() == sorted(naive_filter(g, q))
 
 
 class TestRankOfGold:
@@ -345,8 +363,75 @@ class TestRankScoreFile:
         path = tmp_path / "s.jsonl"
         row = ("a", "r", "b", "head", [0.2, 0.1, 0.9])
         write_score_file(path, g, [row, row])
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match=r"s\.jsonl:2: duplicate"):
             rank_score_file(path, g, pop, TiePolicy("average"))
+
+    def test_non_finite_row_reported_at_its_line(self, small):
+        tmp_path, g, pop = small
+        path = tmp_path / "s.jsonl"
+        # the tail row is missing too; the bad row is reported first
+        write_score_file(path, g, [("a", "r", "b", "head", [0.2, float("nan"), 0.9])])
+        with pytest.raises(ValidationError, match=r"s\.jsonl:1: non-finite score"):
+            rank_score_file(path, g, pop, TiePolicy("average"))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_oracle(self, data):
+        """Every tie policy, filtered and raw, on shuffled partial files with
+        heavy ties and triples repeated across the three splits."""
+        rows = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1),
+                                            st.integers(0, 5)), min_size=1, max_size=20))
+        splits = data.draw(st.lists(st.sets(st.sampled_from(SPLITS), min_size=1),
+                                    min_size=20, max_size=20))
+        g = graph_in_splits(rows, splits)
+        pop = compute_popularity(g)
+        queries = make_queries(g, pop)
+        scores = [np.array(data.draw(st.lists(st.integers(0, 2), min_size=g.n_entities,
+                                              max_size=g.n_entities)), dtype=float)
+                  for _ in queries]
+        order = data.draw(st.permutations(range(len(queries))))
+        kept = order[:data.draw(st.integers(1, len(queries)))]
+        seed = data.draw(st.integers(0, 2**32))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "s.jsonl"
+            write_score_file(path, g, [(*queries[i].key(), scores[i]) for i in kept])
+            for raw in (False, True):
+                for policy in TiePolicy.POLICIES:
+                    tie = TiePolicy(policy, seed=seed if policy == "random" else None)
+                    got = rank_score_file(path, g, pop, tie, raw=raw, allow_partial=True)
+                    expected = []
+                    for i in sorted(kept):
+                        query, row = queries[i], scores[i]
+                        excluded = set() if raw else naive_filter(g, query)
+                        ties = sum(1 for e in range(g.n_entities) if e != query.gold_id
+                                   and e not in excluded and row[e] == row[query.gold_id])
+                        draw = documented_draw(seed, query, ties)
+                        expected.append((query.key(), brute_force_rank(
+                            row, query.gold_id, excluded, policy, draw)))
+                    assert [(r.query.key(), r.rank) for r in got] == expected
+
+    def test_holds_one_row_at_a_time(self, tmp_path):
+        """400 rows x 5,000 entities would hold 16 MB as float64 rows."""
+        n_entities, n_test = 5_000, 200
+        train = [(f"e{i}", f"r{i % 7}", f"e{(i * 31 + 1) % n_entities}")
+                 for i in range(n_entities)]
+        test = [(f"e{i}", "r0", f"e{i + 1}") for i in range(0, 2 * n_test, 2)]
+        g = graph_of(*train, test=test)
+        pop = compute_popularity(g)
+        rng = np.random.default_rng(5)
+        path = tmp_path / "s.jsonl"
+        write_score_file(path, g, [(*q.key(), rng.integers(0, 50, n_entities).tolist())
+                                   for q in make_queries(g, pop)])
+        rank_score_file(path, g, pop, TiePolicy("average"))  # lazy imports, filter index
+        tracemalloc.start()
+        try:
+            records = rank_score_file(path, g, pop, TiePolicy("average"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 2 * n_test
+        row_bytes = 8 * n_entities
+        assert peak < 40 * row_bytes, f"traced peak {peak} bytes"
 
     def test_non_test_query_is_error(self, small):
         tmp_path, g, pop = small
@@ -388,15 +473,19 @@ class TestRankScoreFile:
         assert [r.query.direction for r in records] == \
             [Direction.HEAD, Direction.TAIL]
 
-    def test_threads_do_not_change_results(self, small):
-        tmp_path, g, pop = small
-        path = tmp_path / "s.jsonl"
-        write_score_file(path, g, self.score_rows(
-            g, [0.2, 0.1, 0.9], [0.1, 0.8, 0.9]))
-        base = rank_score_file(path, g, pop, TiePolicy("average"))
-        threaded = rank_score_file(path, g, pop, TiePolicy("average"), threads=4)
-        assert [(r.query.key(), r.rank) for r in base] == \
-            [(r.query.key(), r.rank) for r in threaded]
+
+def documented_draw(seed: int, query: Query, tie_count: int) -> int:
+    """The seeded random tie draw: PCG64 over [seed, sha256 of each label, direction]."""
+    if not tie_count:
+        return 0
+
+    def entropy(label):
+        return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
+
+    rng = np.random.default_rng([seed, entropy(query.head), entropy(query.relation),
+                                 entropy(query.tail),
+                                 0 if query.direction is Direction.HEAD else 1])
+    return int(rng.integers(0, tie_count + 1))
 
 
 class TestRandomTieDraw:
@@ -407,24 +496,5 @@ class TestRandomTieDraw:
         query = query_for(2, n=5, head="hh", relation="rr", tail="tt")
         row = ScoreRow(query, scores)
         got = rank_of_gold(row, set(), TiePolicy("random", seed=123)).rank
-
-        def entropy(label):
-            return int.from_bytes(
-                hashlib.sha256(label.encode()).digest()[:8], "big")
-
-        rng = np.random.default_rng(
-            [123, entropy("hh"), entropy("rr"), entropy("tt"), 1])
-        ties = 4  # four non-gold candidates tie with the gold
-        expected = 1 + 0 + int(rng.integers(0, ties + 1))
-        assert got == expected
-
-
-def test_rank_all_preserves_input_order(toy_dataset):
-    g, pop = load_dataset(toy_dataset)
-    queries = make_queries(g, pop)
-    rng = np.random.default_rng(3)
-    rows = [ScoreRow(q, rng.random(g.n_entities)) for q in queries]
-    sequential = rank_all(rows, g, TiePolicy("average"))
-    threaded = rank_all(rows, g, TiePolicy("average"), threads=3)
-    assert [r.rank for r in sequential] == [r.rank for r in threaded]
-    assert [r.query.key() for r in sequential] == [q.key() for q in queries]
+        # four non-gold candidates tie with the gold, none scores higher
+        assert got == 1 + 0 + documented_draw(123, query, 4)
