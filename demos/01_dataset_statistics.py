@@ -2,7 +2,7 @@
 """Walk through the data layer: triple files, vocabularies, popularity.
 
 Builds a tiny knowledge graph on disk, loads it back, and prints the
-summary statistics and the popularity index that the weighting scheme
+summary statistics and the popularity counts that the weighting scheme
 later relies on.
 """
 
@@ -50,7 +50,7 @@ def main():
     # popularity is recomputed identically on every load
     graph2, popularity2 = load_dataset(workdir)
     assert graph2.entity_ids == graph.entity_ids
-    assert (popularity2.counts == popularity.counts).all()
+    assert (popularity2 == popularity).all()
     print("reloading the same files reproduces identical ids and counts.")
 
 

@@ -10,9 +10,8 @@ rank-profile generation for testing and demonstrations.
 __version__ = "0.1.0"
 
 from .errors import ParseError, ValidationError
-from .kg_data import (DatasetStats, KnowledgeGraph, PopularityIndex, build_graph,
-                      compute_popularity, dataset_stats, export_vocabulary,
-                      load_dataset, load_split)
+from .kg_data import (DatasetStats, KnowledgeGraph, build_graph, compute_popularity,
+                      dataset_stats, export_vocabulary, load_dataset, load_split)
 from .metrics import (MetricConfig, Stratum, default_bucket_edges, hits_at_k,
                       mr, mrr, probe_score, rt_affine, rt_raw,
                       stratified_breakdown, weight)
@@ -20,8 +19,7 @@ from .ranking import (Direction, Query, RankRecord, RankTable, ScoreRow,
                       TiePolicy, filter_set, load_rank_file, make_queries,
                       rank_of_gold, rank_score_file, write_rank_file)
 from .sweep import (CellRanking, Flip, RankBin, SweepGrid, SweepResult,
-                    find_flips, load_surface, rank_histogram, run_sweep,
-                    surface_export)
+                    find_flips, rank_histogram, run_sweep, surface_export)
 from .synthetic import (ExplicitProfile, MixtureProfile, PopularityRule,
                         PopularityStratum, RankProfile, generate, load_profile,
                         oracle_probe, profile_from_dict)
@@ -29,7 +27,7 @@ from .synthetic import (ExplicitProfile, MixtureProfile, PopularityRule,
 __all__ = [
     "__version__",
     "ParseError", "ValidationError",
-    "DatasetStats", "KnowledgeGraph", "PopularityIndex",
+    "DatasetStats", "KnowledgeGraph",
     "build_graph", "compute_popularity", "dataset_stats", "export_vocabulary",
     "load_dataset", "load_split",
     "MetricConfig", "Stratum", "default_bucket_edges",
@@ -39,7 +37,7 @@ __all__ = [
     "filter_set", "load_rank_file", "make_queries", "rank_of_gold",
     "rank_score_file", "write_rank_file",
     "CellRanking", "Flip", "RankBin", "SweepGrid", "SweepResult", "find_flips",
-    "load_surface", "rank_histogram", "run_sweep", "surface_export",
+    "rank_histogram", "run_sweep", "surface_export",
     "ExplicitProfile", "MixtureProfile", "PopularityRule", "PopularityStratum",
     "RankProfile", "generate", "load_profile", "oracle_probe", "profile_from_dict",
 ]

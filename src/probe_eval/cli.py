@@ -21,10 +21,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .errors import ParseError, ValidationError
-from .kg_data import (KnowledgeGraph, PopularityIndex, dataset_stats,
-                      export_vocabulary, load_dataset)
+from .kg_data import KnowledgeGraph, dataset_stats, export_vocabulary, load_dataset
 from .metrics import (DEFAULT_HITS_KS, MetricConfig, default_bucket_edges,
                       hits_at_k, mr, mrr, probe_score, stratified_breakdown)
 from .ranking import (RankTable, TiePolicy, load_rank_file, rank_score_file,
@@ -136,11 +137,14 @@ def _dataset_args(parser: _Parser, required: bool = True) -> None:
     parser.add_argument("--test-file", default="test.txt", help="test split filename")
 
 
-def _metric_args(parser: _Parser) -> None:
+def _cell_args(parser: _Parser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0,
                         help="sharpness control factor (> 0)")
     parser.add_argument("--beta", type=float, default=0.0,
                         help="popularity-bias robustness factor (>= 0)")
+
+
+def _config_args(parser: _Parser) -> None:
     parser.add_argument("--epsilon", type=float, default=1.0,
                         help="division guard in the popularity weight (> 0)")
     parser.add_argument("--no-affine", action="store_true",
@@ -149,7 +153,7 @@ def _metric_args(parser: _Parser) -> None:
                         help="override the entity count (required without --dataset)")
 
 
-def _load_dataset_from_args(args) -> tuple[KnowledgeGraph | None, PopularityIndex | None]:
+def _load_dataset_from_args(args) -> tuple[KnowledgeGraph | None, np.ndarray | None]:
     if not args.dataset:
         return None, None
     return load_dataset(args.dataset,
@@ -174,10 +178,10 @@ def _tie_policy(args) -> TiePolicy:
 
 
 def _strata_edges(choice: str, tables: Sequence[RankTable],
-                  pop: PopularityIndex | None) -> list[int]:
+                  pop: np.ndarray | None) -> list[int]:
     if choice == "auto":
         if pop is not None:
-            delta_max = pop.max
+            delta_max = int(pop.max(initial=0))
         else:
             delta_max = max(int(table.pops.max()) for table in tables)
         return default_bucket_edges(delta_max)
@@ -197,7 +201,7 @@ def _eval_metrics(table: RankTable, config: MetricConfig,
 
 
 def _load_ranks(path: str | Path, graph: KnowledgeGraph | None,
-                pop: PopularityIndex | None) -> RankTable:
+                pop: np.ndarray | None) -> RankTable:
     table = load_rank_file(path, graph=graph, popularity=pop)
     if not len(table):
         raise ValidationError(f"rank file {path} holds no records")
@@ -425,7 +429,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a rank file")
     p.add_argument("--ranks", required=True, metavar="FILE")
     _dataset_args(p, required=False)
-    _metric_args(p)
+    _cell_args(p)
+    _config_args(p)
     p.add_argument("--tie", choices=TiePolicy.POLICIES, default="average",
                    help="echoed for provenance; ranks are precomputed")
     p.add_argument("--seed", type=int, default=None)
@@ -441,12 +446,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="evaluate models over an (alpha, beta) grid")
     p.add_argument("--ranks", required=True, nargs="+", metavar="NAME=FILE")
     _dataset_args(p, required=False)
-    p.add_argument("--entities", type=int, default=None, metavar="N")
+    _config_args(p)
     p.add_argument("--alphas", default="0.25,0.5,1,2")
     p.add_argument("--betas", default="0,0.2,0.4,0.8")
     p.add_argument("--base", default="1,0", help="reference cell alpha,beta")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--no-affine", action="store_true")
     p.add_argument("--bins", default=None,
                    help="comma-separated rank histogram edges starting at 1")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
@@ -456,7 +459,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="two models, one cell, per-metric table")
     p.add_argument("--ranks", required=True, nargs="+", metavar="NAME=FILE")
     _dataset_args(p, required=False)
-    _metric_args(p)
+    _cell_args(p)
+    _config_args(p)
     p.add_argument("--tie", choices=TiePolicy.POLICIES, default="average")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--hits", default=",".join(map(str, DEFAULT_HITS_KS)))

@@ -117,39 +117,19 @@ def build_graph(train: Sequence[Labels], valid: Sequence[Labels],
     return KnowledgeGraph(list(entity_ids), list(relation_ids), *split_arrays)
 
 
-@dataclass(frozen=True)
-class PopularityIndex:
-    """Per-entity count of training triples the entity appears in.
+def compute_popularity(graph: KnowledgeGraph) -> np.ndarray:
+    """Count, per entity, the training triples it appears in.
 
-    A self-loop triple contributes exactly 1 to its entity (triples are
-    counted, not slot occurrences); entities seen only in valid/test
-    have count 0.
+    Returns an int64 array of length n_entities.  A self-loop triple
+    contributes exactly 1 to its entity (triples are counted, not slot
+    occurrences); entities seen only in valid/test have count 0.
     """
-
-    counts: np.ndarray  # int64, length n_entities
-
-    def __getitem__(self, entity_id: int) -> int:
-        return int(self.counts[entity_id])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def max(self) -> int:
-        return int(self.counts.max()) if len(self.counts) else 0
-
-
-def compute_popularity(graph: KnowledgeGraph) -> PopularityIndex:
-    """Count, per entity, the training triples it appears in."""
     n = graph.n_entities
-    if len(graph.train) == 0:
-        return PopularityIndex(np.zeros(n, dtype=np.int64))
     heads = graph.train[:, 0]
     tails = graph.train[:, 2]
     counts = np.bincount(heads, minlength=n)
     counts += np.bincount(tails[tails != heads], minlength=n)
-    return PopularityIndex(counts.astype(np.int64))
+    return counts.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -187,7 +167,7 @@ class DatasetStats:
         return "\n".join(f"{name:<12} {value:>{width}}" for name, value in rows)
 
 
-def dataset_stats(graph: KnowledgeGraph, pop: PopularityIndex) -> DatasetStats:
+def dataset_stats(graph: KnowledgeGraph, pop: np.ndarray) -> DatasetStats:
     """Summarize the training split: |E|, |R|, |T|, mean and max popularity."""
     n_entities = graph.n_entities
     if n_entities == 0:
@@ -197,15 +177,15 @@ def dataset_stats(graph: KnowledgeGraph, pop: PopularityIndex) -> DatasetStats:
         n_entities=n_entities,
         n_relations=graph.n_relations,
         n_triples=len(graph.train),
-        delta_avg=pop.total / n_entities,
-        delta_max=pop.max,
+        delta_avg=int(pop.sum()) / n_entities,
+        delta_max=int(pop.max()),
     )
 
 
 def load_dataset(directory: str | Path,
                  filenames: Sequence[str] = ("train.txt", "valid.txt", "test.txt"),
-                 ) -> tuple[KnowledgeGraph, PopularityIndex]:
-    """Load the community train/valid/test layout and index popularity."""
+                 ) -> tuple[KnowledgeGraph, np.ndarray]:
+    """Load the community train/valid/test layout and count popularity."""
     directory = Path(directory)
     graph = build_graph(*(load_split(directory / fname) for fname in filenames))
     return graph, compute_popularity(graph)

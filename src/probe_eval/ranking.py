@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError, open_text
-from .kg_data import KnowledgeGraph, PopularityIndex
+from .kg_data import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
 
@@ -165,7 +165,7 @@ def _tie_entropy(seed: int, query: Query) -> list[int]:
     ]
 
 
-def make_queries(graph: KnowledgeGraph, pop: PopularityIndex) -> list[Query]:
+def make_queries(graph: KnowledgeGraph, pop: np.ndarray) -> list[Query]:
     """Two queries per test triple (head-masked then tail-masked), in test order."""
     queries: list[Query] = []
     for h, r, t in graph.test:
@@ -173,10 +173,10 @@ def make_queries(graph: KnowledgeGraph, pop: PopularityIndex) -> list[Query]:
         head, rel, tail = (graph.entity_labels[h], graph.relation_labels[r],
                            graph.entity_labels[t])
         queries.append(Query(head, rel, tail, Direction.HEAD,
-                             gold_popularity=pop[h],
+                             gold_popularity=int(pop[h]),
                              head_id=h, relation_id=r, tail_id=t))
         queries.append(Query(head, rel, tail, Direction.TAIL,
-                             gold_popularity=pop[t],
+                             gold_popularity=int(pop[t]),
                              head_id=h, relation_id=r, tail_id=t))
     return queries
 
@@ -257,7 +257,7 @@ def rank_of_gold(row: ScoreRow, filter_ids: np.ndarray | Collection[int],
 
 
 def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
-                   popularity: PopularityIndex | None = None) -> RankTable:
+                   popularity: np.ndarray | None = None) -> RankTable:
     """Read ``head<TAB>relation<TAB>tail<TAB>direction<TAB>rank`` records.
 
     Gold popularity is looked up through the graph vocabulary; entities
@@ -288,9 +288,9 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
             except ValueError:
                 raise ParseError(f"rank is not an integer: {rank_text!r}",
                                  path=str(path), line=lineno) from None
-            if rank < 1:
+            if not 1 <= rank < 2 ** 63:  # ranks are held as int64
                 raise ValidationError(
-                    f"{path}:{lineno}: rank must be >= 1, got {rank}")
+                    f"{path}:{lineno}: rank must be >= 1 and < 2**63, got {rank}")
             key = f"{head}\t{relation}\t{tail}\t{direction}"
             first = first_line.setdefault(key, lineno)
             if first != lineno:
@@ -309,7 +309,7 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
         known = ids >= 0
         unknown = len(ids) - int(np.count_nonzero(known))
         if popularity is not None:
-            pops[known] = popularity.counts[ids[known]]
+            pops[known] = popularity[ids[known]]
     elif popularity is not None:
         unknown = len(keys)
     if unknown:
@@ -372,7 +372,7 @@ def iter_score_rows(path: str | Path,
                 scores=vector)
 
 
-def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: PopularityIndex,
+def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
                     tie: TiePolicy, raw: bool = False,
                     allow_partial: bool = False) -> list[RankRecord]:
     """Rank a score file's rows, each as it is read, against the test queries.

@@ -1,16 +1,20 @@
 """Grid sweeps over (alpha, beta), ranking-flip detection, and exports.
 
-A sweep scores every model at every grid cell, orders models per cell
-(score descending, lexicographic on exact-within-tolerance ties), and
-reports every model pair whose strict relative order at a cell is the
-reverse of its strict order at the base cell.  Scores closer than
-TIE_TOLERANCE are ties, never flips, to keep the report robust to float
-noise.
+A sweep scores every model at every grid cell and orders models per cell
+(score descending, lexicographic on ties).  Two scores closer than
+TIE_TOLERANCE are a tie; ``_strict_order`` is the one place that applies
+the tolerance.  A cell's tie groups are built down its order: a model
+joins the current group when it ties the group's first (highest) member,
+and starts a new group otherwise, so every pair inside a group is a tie.
+A flip is a model pair whose strict order at a cell is the reverse of
+its strict order at the base cell; a tie at either cell is never a flip,
+which keeps the report robust to float noise.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,25 +110,6 @@ class SweepResult:
     rankings: dict[Cell, CellRanking] = field(default_factory=dict)
     flips: list[Flip] = field(default_factory=list)
 
-    def score(self, model: str, cell: Cell) -> float:
-        return self.cells[cell][model]
-
-
-def _rank_cell(cell: Cell, scores: Mapping[str, float]) -> CellRanking:
-    order = sorted(scores, key=lambda m: (-scores[m], m))
-    groups: list[tuple[str, ...]] = []
-    current = [order[0]] if order else []
-    for prev, name in zip(order, order[1:]):
-        if abs(scores[prev] - scores[name]) <= TIE_TOLERANCE:
-            current.append(name)
-        else:
-            if len(current) > 1:
-                groups.append(tuple(current))
-            current = [name]
-    if len(current) > 1:
-        groups.append(tuple(current))
-    return CellRanking(cell=cell, order=tuple(order), tie_groups=tuple(groups))
-
 
 def _strict_order(a: float, b: float) -> int:
     """-1, 0, +1 comparison with the tie tolerance applied."""
@@ -133,26 +118,34 @@ def _strict_order(a: float, b: float) -> int:
     return 1 if a > b else -1
 
 
+def _rank_cell(cell: Cell, scores: Mapping[str, float]) -> CellRanking:
+    order = sorted(scores, key=lambda m: (-scores[m], m))
+    groups: list[list[str]] = []
+    for name in order:
+        if groups and _strict_order(scores[groups[-1][0]], scores[name]) == 0:
+            groups[-1].append(name)
+        else:
+            groups.append([name])
+    return CellRanking(cell=cell, order=tuple(order),
+                       tie_groups=tuple(tuple(g) for g in groups if len(g) > 1))
+
+
 def find_flips(result: SweepResult) -> list[Flip]:
     """Pairs whose strict base-cell order strictly reverses at another cell."""
     base_scores = result.cells[result.grid.base]
-    names = sorted(result.models)
+    # (pair, (winner, loser) at the base) for every pair not tied there
+    ordered = []
+    for a, b in itertools.combinations(sorted(result.models), 2):
+        at_base = _strict_order(base_scores[a], base_scores[b])
+        if at_base:
+            ordered.append(((a, b), (a, b) if at_base > 0 else (b, a)))
     flips: list[Flip] = []
     for cell in result.grid.cells():
-        if cell == result.grid.base:
-            continue
-        cell_scores = result.cells[cell]
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                at_base = _strict_order(base_scores[a], base_scores[b])
-                at_cell = _strict_order(cell_scores[a], cell_scores[b])
-                if at_base != 0 and at_cell != 0 and at_base != at_cell:
-                    winner_base = a if at_base > 0 else b
-                    winner_cell = a if at_cell > 0 else b
-                    flips.append(Flip(
-                        cell=cell, pair=(a, b),
-                        base_order=(winner_base, b if winner_base == a else a),
-                        cell_order=(winner_cell, b if winner_cell == a else a)))
+        scores = result.cells[cell]
+        for pair, (winner, loser) in ordered:
+            if _strict_order(scores[loser], scores[winner]) > 0:
+                flips.append(Flip(cell=cell, pair=pair, base_order=(winner, loser),
+                                  cell_order=(loser, winner)))
     return flips
 
 
@@ -238,17 +231,6 @@ def surface_export(result: SweepResult, path: str | Path) -> None:
                 for beta in result.grid.betas:
                     score = result.cells[(alpha, beta)][model]
                     writer.writerow([model, repr(alpha), repr(beta), f"{score:.17g}"])
-
-
-def load_surface(path: str | Path) -> dict[tuple[str, float, float], float]:
-    """Parse a surface CSV back into {(model, alpha, beta): score}."""
-    out: dict[tuple[str, float, float], float] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out[(row["model"], float(row["alpha"]), float(row["beta"]))] = \
-                float(row["score"])
-    return out
 
 
 def histogram_export(per_model: Mapping[str, Sequence[RankBin]],

@@ -131,12 +131,7 @@ class MixtureProfile:
         ranks = np.arange(2, self.n_entities + 1, dtype=np.float64)
         g = self.tail_rate
         tail = g * np.power(1.0 - g, ranks - 2.0)
-        total = tail.sum()
-        if total <= 0:  # g == 1 gives a point mass at rank 2
-            tail = np.zeros_like(tail)
-            tail[0] = 1.0
-            total = 1.0
-        tail = tail / total * (1.0 - self.p1)
+        tail = tail / tail.sum() * (1.0 - self.p1)
         if abs(tail.sum() - (1.0 - self.p1)) > _TAIL_SUM_TOL:
             raise ValidationError(
                 f"tail probabilities sum to {tail.sum()}, expected {1.0 - self.p1}")

@@ -573,6 +573,79 @@ def test_rank_fuzzed_score_file_keeps_the_cli_contract(fuzz_dir, data):
         assert code == 0
 
 
+TOY_RANK_LINES = [b"d\tr1\tb\thead\t3", b"d\tr1\tb\ttail\t1",
+                  b"a\tr2\tc\thead\t2", b"a\tr2\tc\ttail\t4"]
+
+
+def _mutate_rank_lines(lines: list[bytes], data) -> list[bytes]:
+    """One hostile edit of a rank file, drawn by Hypothesis."""
+    kind = data.draw(st.sampled_from([
+        "truncate", "fields", "rank", "direction", "0xff", "bom", "duplicate", "empty"]))
+    if kind == "empty" or not lines:
+        return []
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines = list(lines)
+    fields = lines[i].split(b"\t")
+    if kind == "truncate":
+        lines[i] = lines[i][:data.draw(st.integers(0, max(0, len(lines[i]) - 1)))]
+    elif kind == "fields":
+        lines[i] = b"\t".join(fields[:-1] if data.draw(st.booleans()) else fields + [b"x"])
+    elif kind == "rank" and len(fields) == 5:
+        fields[4] = data.draw(st.sampled_from([b"0", b"-3", b"2.5", b"1e3", b"x", b"", b"9" * 20]))
+        lines[i] = b"\t".join(fields)
+    elif kind == "direction" and len(fields) == 5:
+        fields[3] = data.draw(st.sampled_from([b"Head", b"both", b""]))
+        lines[i] = b"\t".join(fields)
+    elif kind == "0xff":
+        at = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + b"\xff" + lines[i][at:]
+    elif kind == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    return lines
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_rank_file_keeps_the_cli_contract(fuzz_dir, data):
+    """eval, compare and sweep: exit 0, 1 or 2; at most one error[...] line; strict JSON."""
+    lines = TOY_RANK_LINES
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate_rank_lines(lines, data)
+    ranks = fuzz_dir / "ranks.tsv"
+    ranks.write_bytes(b"".join(line + b"\n" for line in lines))
+    clean = fuzz_dir / "clean.tsv"
+    clean.write_bytes(b"".join(line + b"\n" for line in TOY_RANK_LINES))
+    out = fuzz_dir / "out"
+    out.mkdir(exist_ok=True)
+    for stale in out.iterdir():
+        stale.unlink()
+    command = data.draw(st.sampled_from(["eval", "compare", "sweep"]))
+    models = [f"m={ranks}", f"clean={clean}"]
+    argv = {
+        "eval": ["eval", "--ranks", str(ranks), "--out", str(out / "eval.json")],
+        "compare": ["compare", "--ranks", *models, "--format", "json"],
+        "sweep": ["sweep", "--ranks", *models, "--out", str(out)],
+    }[command] + ["--dataset", str(fuzz_dir / "toyds")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = dispatch(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert sum(line.startswith("error[") for line in err.splitlines()) == (code != 0), err
+    texts = [path.read_text(encoding="utf-8") for path in out.glob("*.json")]
+    if command == "compare" and code == 0:
+        texts.append(stdout.getvalue())
+    for text in texts:
+        json.loads(text, parse_constant=_reject_constant)
+
+
 def test_dispatch_returns_zero_for_help_and_version(capsys):
     assert run_cli("--version") == 0
     assert "probe-eval" in capsys.readouterr().out

@@ -154,7 +154,7 @@ class TestLoadDatasetParity:
         for array, rows in zip((graph.train, graph.valid, graph.test), splits):
             assert array.dtype == np.int64 and array.shape == (len(rows), 3)
             assert [tuple(row) for row in array.tolist()] == rows
-        assert pop.counts.tolist() == popularity
+        assert pop.tolist() == popularity
 
 
 class TestPopularity:
@@ -188,7 +188,7 @@ class TestPopularity:
         pop = compute_popularity(g)
         self_loops = int(np.count_nonzero(g.train[:, 0] == g.train[:, 2])) \
             if len(g.train) else 0
-        assert pop.total == 2 * (len(g.train) - self_loops) + self_loops
+        assert int(pop.sum()) == 2 * (len(g.train) - self_loops) + self_loops
         if len(g.train):
             train_entities = set(g.train[:, 0]) | set(g.train[:, 2])
             assert all(pop[int(e)] >= 1 for e in train_entities)
@@ -210,7 +210,7 @@ class TestDatasetStats:
     def test_avg_times_entities_is_total_mass(self, toy_dataset):
         g, pop = load_dataset(toy_dataset)
         stats = dataset_stats(g, pop)
-        assert stats.delta_avg * stats.n_entities == pytest.approx(pop.total, abs=0)
+        assert stats.delta_avg * stats.n_entities == pytest.approx(int(pop.sum()), abs=0)
 
     def test_json_keys(self, toy_dataset):
         g, pop = load_dataset(toy_dataset)

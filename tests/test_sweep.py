@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from conftest import make_record, make_records
 from probe_eval.errors import ValidationError
 from probe_eval.metrics import MetricConfig, probe_score
-from probe_eval.sweep import (DEFAULT_RANK_BINS, SweepGrid, SweepResult,
-                              histogram_export, load_surface, rank_histogram,
-                              run_sweep, surface_export)
+from probe_eval.sweep import (DEFAULT_RANK_BINS, SweepGrid, SweepResult, _rank_cell,
+                              _strict_order, find_flips, histogram_export,
+                              rank_histogram, run_sweep, surface_export)
 from probe_eval.synthetic import ExplicitProfile, generate
 
 BASE_CONFIG = MetricConfig(alpha=1.0, beta=0.0, affine=True, entity_count=10_000)
@@ -145,6 +146,54 @@ class TestFlipOracle:
                 assert ((cell, (a, b)) in flip_keys) == expect_flip
 
 
+class TestTieGroups:
+    """Tie groups and flips apply one tie rule, ``_strict_order``."""
+
+    BASE, OTHER = (1.0, 0.0), (2.0, 0.0)
+    GRID = SweepGrid(alphas=(1.0, 2.0), betas=(0.0,), base=(1.0, 0.0))
+
+    def _ranked(self, base: dict, other: dict) -> SweepResult:
+        result = SweepResult(models=sorted(base), grid=self.GRID,
+                             cells={self.BASE: base, self.OTHER: other})
+        result.rankings = {cell: _rank_cell(cell, scores)
+                           for cell, scores in result.cells.items()}
+        result.flips = find_flips(result)
+        return result
+
+    def _check(self, result: SweepResult) -> None:
+        groups = {cell: [set(group) for group in ranking.tie_groups]
+                  for cell, ranking in result.rankings.items()}
+        for cell, cell_groups in groups.items():
+            scores = result.cells[cell]
+            for group in cell_groups:
+                for a, b in itertools.combinations(sorted(group), 2):
+                    assert _strict_order(scores[a], scores[b]) == 0, (cell, group)
+        for flip in result.flips:
+            for cell in (flip.cell, self.BASE):
+                assert not any(set(flip.pair) <= group for group in groups[cell])
+            assert flip.cell_order == flip.base_order[::-1]
+
+    def test_three_model_chain_is_not_one_group(self):
+        """b ties a and c, but a and c are strictly ordered: a flip, not a tie."""
+        base = {"a": 0.5, "b": 0.5 + 0.8e-12, "c": 0.5 + 1.6e-12}
+        other = {"a": 0.6, "b": 0.5, "c": 0.4}
+        result = self._ranked(base, other)
+        assert result.rankings[self.BASE].order == ("c", "b", "a")
+        assert result.rankings[self.BASE].tie_groups == (("c", "b"),)
+        assert [(f.cell, f.pair) for f in result.flips] == [(self.OTHER, ("a", "c"))]
+        self._check(result)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_groups_are_ties_and_flips_are_not(self, data):
+        n_models = data.draw(st.integers(2, 5))
+        steps = st.lists(st.integers(0, 6), min_size=n_models, max_size=n_models)
+        names = [f"m{i}" for i in range(n_models)]
+        base, other = ({name: 0.5 + k * 6e-13 for name, k in zip(names, data.draw(steps))}
+                       for _ in range(2))
+        self._check(self._ranked(base, other))
+
+
 class TestRankHistogram:
     def test_worked_example(self):
         records = make_records([1, 1, 2, 50])
@@ -190,9 +239,10 @@ class TestSurfaceExport:
         assert lines[0] == "model,alpha,beta,score"
         assert len(lines) == 1 + 2 * 16
 
-        parsed = load_surface(path)
-        for (model, alpha, beta), score in parsed.items():
-            assert score == result.cells[(alpha, beta)][model]  # bit-exact
+        with path.open(encoding="utf-8", newline="") as handle:
+            for row in csv.DictReader(handle):
+                cell = (float(row["alpha"]), float(row["beta"]))
+                assert float(row["score"]) == result.cells[cell][row["model"]]  # bit-exact
 
     def test_sorted_by_model_alpha_beta(self, tmp_path):
         result = run_sweep(sharp_and_steady(10), SweepGrid(), BASE_CONFIG)
