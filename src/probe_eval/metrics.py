@@ -9,9 +9,9 @@ a weighted mean with weights (epsilon + popularity)**(-beta), so beta > 0
 down-weights queries whose gold entity was frequent in training.
 
 Every metric reads the rank and popularity columns of a RankTable (a
-sequence of RankRecords is converted first).  All reductions use
-math.fsum (exactly rounded), so every metric here is bit-identical under
-record permutation.
+sequence of RankRecords is converted first).  Every float reduction goes
+through exact_sum, which returns math.fsum's exactly rounded sum bit for
+bit, so every metric here is bit-identical under record permutation.
 """
 
 from __future__ import annotations
@@ -150,6 +150,41 @@ def popularity_weights(pops: np.ndarray, config: MetricConfig) -> np.ndarray:
     return np.exp(-config.beta * (logs - logs.min()))
 
 
+_SPLIT_BITS = 27
+_MAX_LEN = 2 ** 26
+_EXP_LIMIT = 960
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum(values)`` of a 1-D float array, bit for bit, in a few NumPy passes.
+
+    frexp writes each value as mant * 2**exp.  mant * 2**27 splits exactly
+    into an integer part below 2**27 and a fraction that is a multiple of
+    2**-26, and np.bincount sums each part per exponent.  For n < 2**26
+    every partial sum fits in 53 bits, so those sums are exact, and so is
+    scaling them back with ldexp while exponents stay within +-960.  One
+    fsum over the scaled sums then rounds the same exact total that fsum
+    over the values would.  Non-finite values, huge arrays, exponents
+    outside that range, and zero totals (whose sign fsum decides) take
+    math.fsum itself.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not 0 < len(values) < _MAX_LEN or not np.isfinite(values).all():
+        return math.fsum(values.tolist())
+    mant, exp = np.frexp(values)
+    emin, emax = int(exp.min()), int(exp.max())
+    if emin < -_EXP_LIMIT or emax > _EXP_LIMIT:
+        return math.fsum(values.tolist())
+    mant *= 2.0 ** _SPLIT_BITS
+    whole = np.trunc(mant)
+    mant -= whole
+    bins = exp - emin
+    sums = np.concatenate((np.bincount(bins, weights=whole), np.bincount(bins, weights=mant)))
+    scale = np.arange(emin, emax + 1) - _SPLIT_BITS
+    total = math.fsum(np.ldexp(sums, np.concatenate((scale, scale))).tolist())
+    return total if total != 0.0 else math.fsum(values.tolist())
+
+
 def _table(records: Records, empty_message: str) -> RankTable:
     table = as_rank_table(records)
     if not len(table):
@@ -168,21 +203,20 @@ def probe_score(records: Records, config: MetricConfig) -> float:
 
 def _probe_from_arrays(ranks: np.ndarray, pops: np.ndarray,
                        config: MetricConfig) -> float:
-    scores = transform_ranks(ranks, config)
     weights = popularity_weights(pops, config)
-    return math.fsum(weights * scores) / math.fsum(weights)
+    return exact_sum(weights * transform_ranks(ranks, config)) / exact_sum(weights)
 
 
 def mr(records: Records) -> float:
     """Arithmetic mean of the ranks."""
     ranks = _table(records, "cannot compute mean rank of no records").ranks
-    return math.fsum(ranks.tolist()) / len(ranks)
+    return exact_sum(ranks.astype(np.float64)) / len(ranks)
 
 
 def mrr(records: Records) -> float:
     """Mean reciprocal rank."""
     ranks = _table(records, "cannot compute MRR of no records").ranks
-    return math.fsum((1.0 / ranks).tolist()) / len(ranks)
+    return exact_sum(1.0 / ranks) / len(ranks)
 
 
 def hits_at_k(records: Records, k: int) -> float:

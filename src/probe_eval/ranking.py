@@ -283,11 +283,11 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
             if direction not in (Direction.HEAD.value, Direction.TAIL.value):
                 raise ParseError(f"direction must be 'head' or 'tail', got {direction!r}",
                                  path=str(path), line=lineno)
-            try:
-                rank = int(rank_text)
-            except ValueError:
+            # int() alone would also read "1_0", "+2" and non-ASCII digits
+            if not (rank_text.isascii() and rank_text.isdigit()):
                 raise ParseError(f"rank is not an integer: {rank_text!r}",
-                                 path=str(path), line=lineno) from None
+                                 path=str(path), line=lineno)
+            rank = int(rank_text)
             if not 1 <= rank < 2 ** 63:  # ranks are held as int64
                 raise ValidationError(
                     f"{path}:{lineno}: rank must be >= 1 and < 2**63, got {rank}")

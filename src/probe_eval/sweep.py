@@ -23,7 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricConfig, Records, _probe_from_arrays
+from .metrics import (MetricConfig, Records, exact_sum, popularity_weights,
+                      transform_ranks)
 from .ranking import RankTable, as_rank_table
 
 TIE_TOLERANCE = 1e-12
@@ -161,11 +162,20 @@ def run_sweep(models: Mapping[str, Records], grid: SweepGrid,
     tables = {name: as_rank_table(models[name]) for name in sorted(models)}
     _check_same_queries(tables)
 
-    cells: dict[Cell, dict[str, float]] = {}
-    for cell in grid.cells():
-        cell_config = config.with_cell(*cell)
-        cells[cell] = {name: _probe_from_arrays(table.ranks, table.pops, cell_config)
-                       for name, table in tables.items()}
+    # beta sets only the weights and alpha only the transform: each model's
+    # weights and their sum are computed once per beta, then every cell is
+    # one product and one exact_sum, the same arithmetic as probe_score.
+    cells: dict[Cell, dict[str, float]] = {cell: {} for cell in grid.cells()}
+    for beta in grid.betas:
+        beta_config = config.with_cell(config.alpha, beta)
+        weights = {name: popularity_weights(table.pops, beta_config)
+                   for name, table in tables.items()}
+        totals = {name: exact_sum(w) for name, w in weights.items()}
+        for alpha in grid.alphas:
+            cell_config = config.with_cell(alpha, beta)
+            for name, table in tables.items():
+                scores = transform_ranks(table.ranks, cell_config)
+                cells[(alpha, beta)][name] = exact_sum(weights[name] * scores) / totals[name]
 
     result = SweepResult(models=list(tables), grid=grid, cells=cells)
     result.rankings = {cell: _rank_cell(cell, scores) for cell, scores in cells.items()}

@@ -416,6 +416,18 @@ class TestHostileInputs:
         assert f"{rankfile}:5:" in line and "line 1" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("spelling", ["1_0", "+2", "\u0661"])  # U+0661: Arabic-Indic 1
+    def test_rank_spelling_int_would_accept_is_parse_error(self, spelling, rankfile,
+                                                           tmp_path, capsys):
+        rankfile.write_text(rankfile.read_text() + f"e\tr1\tb\thead\t{spelling}\n",
+                            encoding="utf-8")
+        out = tmp_path / "e.json"
+        assert run_cli("eval", "--ranks", str(rankfile), "--entities", "20",
+                       "--out", str(out)) == 1
+        line = single_error_line(capsys, "parse")
+        assert f"{rankfile}:5: rank is not an integer: {spelling!r}" in line
+        assert not out.exists()
+
     def test_duplicate_rank_line_rejected_by_sweep(self, rankfile, tmp_path, capsys):
         other = tmp_path / "other.tsv"
         other.write_text(rankfile.read_text(), encoding="utf-8")
@@ -591,7 +603,8 @@ def _mutate_rank_lines(lines: list[bytes], data) -> list[bytes]:
     elif kind == "fields":
         lines[i] = b"\t".join(fields[:-1] if data.draw(st.booleans()) else fields + [b"x"])
     elif kind == "rank" and len(fields) == 5:
-        fields[4] = data.draw(st.sampled_from([b"0", b"-3", b"2.5", b"1e3", b"x", b"", b"9" * 20]))
+        fields[4] = data.draw(st.sampled_from([b"0", b"-3", b"2.5", b"1e3", b"x", b"", b"9" * 20,
+                                                b"1_0", b"+2", "\u0661".encode()]))
         lines[i] = b"\t".join(fields)
     elif kind == "direction" and len(fields) == 5:
         fields[3] = data.draw(st.sampled_from([b"Head", b"both", b""]))

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, make_records
+from probe_eval import metrics
 from probe_eval.errors import ValidationError
-from probe_eval.metrics import (MetricConfig, default_bucket_edges, hits_at_k,
+from probe_eval.metrics import (MetricConfig, default_bucket_edges, exact_sum, hits_at_k,
                                 mr, mrr, popularity_weights, probe_score,
                                 rt_affine, rt_raw, stratified_breakdown, weight)
 from probe_eval.synthetic import oracle_probe
@@ -269,9 +271,124 @@ class TestProbeScore:
                 assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_MIN_NORMAL = 2.2250738585072014e-308
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-_MIN_NORMAL, max_value=_MIN_NORMAL),  # subnormals and +-0.0
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=2.0 ** 990, max_value=2.0 ** 1010),
+    st.floats(min_value=-2.0 ** 1010, max_value=-2.0 ** 990),
+    st.floats(min_value=2.0 ** -1010, max_value=2.0 ** -990),
+    st.floats(min_value=-2.0 ** -990, max_value=-2.0 ** -1010),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+# exponents within exact_sum's vectorised range, so whole arrays stay on that path
+moderate_floats = st.one_of(
+    st.floats(min_value=2.0 ** -950, max_value=2.0 ** 950),
+    st.floats(min_value=-2.0 ** 950, max_value=-2.0 ** -950),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.sampled_from([0.0, -0.0]),
+)
+float_arrays = st.one_of(
+    st.lists(finite_floats, max_size=300),
+    st.lists(finite_floats, max_size=150).map(lambda xs: xs + [-x for x in xs]),
+    st.lists(moderate_floats, max_size=300),
+    st.lists(moderate_floats, max_size=150).map(lambda xs: xs + [-x for x in xs]),
+).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
+class TestExactSum:
+    """exact_sum is math.fsum bit for bit, whichever path it takes."""
+
+    @given(values=float_arrays)
+    @settings(max_examples=400)
+    def test_bit_identical_to_fsum(self, values):
+        try:
+            expected = math.fsum(values.tolist())
+        except OverflowError:
+            assume(False)
+        assert _bits(exact_sum(values)) == _bits(expected)
+
+    def _fsum_lengths(self, monkeypatch, values) -> list[int]:
+        """Lengths of the lists exact_sum hands to math.fsum; a fallback hands all n."""
+        expected = math.fsum(values.tolist())
+        lengths = []
+        real = math.fsum
+
+        def spy(xs):
+            lengths.append(len(xs))
+            return real(xs)
+
+        monkeypatch.setattr(math, "fsum", spy)
+        assert _bits(exact_sum(values)) == _bits(expected)
+        return lengths
+
+    def test_vectorised_path(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(5_000) * 10.0 ** rng.integers(-30, 30, size=5_000)
+        values = np.concatenate([values, 2.0 ** -961 * np.array([1.5, 1.0]),  # exponent -960
+                                 2.0 ** 959 * np.array([1.5, -1.25])])          # exponent 960
+        lengths = self._fsum_lengths(monkeypatch, values)
+        assert len(lengths) == 1 and lengths[0] < len(values)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 5e-324, 3.0],                  # a subnormal
+        [2.0 ** -962, 0.5],                  # exponent -961, below the limit
+        [2.0 ** 960, -1.0, 2.0 ** 1000],     # exponent above the limit
+        [0.1, 1.7e308, 1.7e308, -1.7e308],   # fsum's own overflow handling decides
+        [1.5, -1.5, 0.25, -0.25],            # exact zero total
+        [-0.0, -0.0],                        # the sign of a zero total
+        [],
+    ], ids=["subnormal", "tiny-exponent", "huge-exponent", "near-overflow",
+            "zero-total", "negative-zero", "empty"])
+    def test_fallbacks_match_fsum(self, monkeypatch, values):
+        values = np.array(values, dtype=np.float64)
+        try:
+            lengths = self._fsum_lengths(monkeypatch, values)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                exact_sum(values)
+            return
+        assert lengths[-1] == len(values)
+
+    @pytest.mark.parametrize("values, expected", [
+        ([1.0, math.inf, 2.0], math.inf),
+        ([-math.inf, 1.0], -math.inf),
+    ])
+    def test_infinities_fall_back(self, values, expected):
+        assert exact_sum(np.array(values)) == expected == math.fsum(values)
+
+    def test_nan_and_opposite_infinities_fall_back(self):
+        assert math.isnan(exact_sum(np.array([1.0, math.nan])))
+        with pytest.raises(ValueError):
+            math.fsum([math.inf, -math.inf])
+        with pytest.raises(ValueError):
+            exact_sum(np.array([math.inf, -math.inf]))
+
+    def test_length_limit_falls_back(self, monkeypatch):
+        """A real 2**26-element array needs 512 MB, so the limit is lowered instead."""
+        monkeypatch.setattr(metrics, "_MAX_LEN", 8)
+        values = np.linspace(0.1, 0.9, 9)
+        assert self._fsum_lengths(monkeypatch, values) == [9]
+
+    def test_large_exact_cancellation(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(10_000) * 10.0 ** rng.integers(-100, 100, size=10_000)
+        values = np.concatenate([x, [1e-20], -x[::-1]])
+        assert exact_sum(values) == 1e-20
+
+
 class TestBaselines:
     def test_mean_rank(self):
         assert mr(make_records([1, 3, 5])) == 3.0
+
+    def test_mean_rank_rounds_huge_ranks_as_fsum_does(self):
+        ranks = [2 ** 62 + 1, 2 ** 53 + 1, 3, 2 ** 60 - 1]
+        assert _bits(mr(make_records(ranks))) == _bits(math.fsum(ranks) / len(ranks))
 
     def test_mrr_example(self):
         assert mrr(make_records([1, 2, 4])) == pytest.approx(7.0 / 12.0, rel=1e-15)

@@ -115,6 +115,34 @@ class TestRunSweep:
             run_sweep({}, SweepGrid(), BASE_CONFIG)
 
 
+class TestCellParity:
+    @given(data=st.data(), affine=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_every_cell_is_probe_score_bit_for_bit(self, data, affine):
+        """The beta-outer, alpha-inner loop reproduces probe_score at every cell.
+
+        Popularities reach 10**6, so beta = 50 pushes some weights below
+        2**-960 and exact_sum takes its math.fsum fallback there.
+        """
+        n_records = data.draw(st.integers(2, 40))
+        pops = [0, 10 ** 6] + data.draw(st.lists(st.integers(0, 10 ** 6),
+                                                 min_size=n_records - 2,
+                                                 max_size=n_records - 2))
+        models = {}
+        for m in range(data.draw(st.integers(2, 4))):
+            ranks = data.draw(st.lists(st.integers(1, 10_000),
+                                       min_size=n_records, max_size=n_records))
+            order = data.draw(st.permutations(range(n_records)))
+            models[f"m{m}"] = [make_record(ranks[i], pops[i], i) for i in order]
+        grid = SweepGrid(alphas=(0.1, 1.0, 7.0), betas=(0.0, 1.0, 50.0), base=(1.0, 0.0))
+        config = BASE_CONFIG if affine else MetricConfig(affine=False)
+        result = run_sweep(models, grid, config)
+        for cell in grid.cells():
+            for name, records in models.items():
+                expected = probe_score(records, config.with_cell(*cell))
+                assert result.cells[cell][name].hex() == expected.hex()
+
+
 class TestFlipOracle:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps functions that exist in the package."""
+"""Repository guards: the benchmark's tracer wraps functions that exist in
+the package, and float reductions go through ``metrics.exact_sum``."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -23,3 +25,23 @@ def test_every_traced_function_resolves():
         if not callable(target):
             missing.append(f"probe_eval.{module_name}.{attr}")
     assert missing == []
+
+
+def test_fsum_is_called_only_inside_exact_sum():
+    """math.fsum over an ndarray walks it one NumPy scalar at a time; exact_sum
+    gives the same bits in a few vectorised passes, so nothing else calls fsum."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "exact_sum"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else None)
+            if name == "fsum" and id(node) not in allowed:
+                stray.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and any(a.name == "fsum" for a in node.names):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
