@@ -10,7 +10,7 @@ than by array order.
 
 import numpy as np
 
-from probe_eval import (MetricConfig, TiePolicy, build_graph,
+from probe_eval import (MetricConfig, RankTable, TiePolicy, build_graph,
                         compute_popularity, filter_set, make_queries,
                         probe_score, rank_of_gold)
 from probe_eval.ranking import ScoreRow
@@ -29,14 +29,14 @@ def main():
     print(f"{len(graph.test)} test triples -> {len(queries)} masked queries\n")
 
     rng = np.random.default_rng(0)
-    records = []
+    ranks = []
     for query in queries:
         scores = rng.random(graph.n_entities)
         scores[query.gold_id] = 0.62  # keep the gold competitive but beatable
         excluded = filter_set(query, graph)
         row = ScoreRow(query, scores)
         record = rank_of_gold(row, excluded, TiePolicy("average"))
-        records.append(record)
+        ranks.append(record.rank)
         raw = rank_of_gold(row, set(), TiePolicy("average"))
         names = sorted(graph.entity_labels[e] for e in excluded)
         print(f"query ({query.head}, {query.relation}, {query.tail}) "
@@ -55,10 +55,14 @@ def main():
           f"{rank_of_gold(row, set(), TiePolicy('random', seed=7)).rank} "
           "(seeded, reproducible)")
 
+    # the scorers read columns: one key, rank and gold popularity per query
+    table = RankTable(keys=["\t".join(q.key()) for q in queries],
+                      ranks=np.array(ranks, dtype=np.int64),
+                      pops=np.array([q.gold_popularity for q in queries], dtype=np.int64))
     config = MetricConfig(alpha=1.0, beta=0.0, affine=True,
                           entity_count=graph.n_entities)
     print(f"\naggregate score of this toy model: "
-          f"{probe_score(records, config):.4f}")
+          f"{probe_score(table, config):.4f}")
 
 
 if __name__ == "__main__":

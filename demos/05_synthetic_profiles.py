@@ -25,27 +25,28 @@ PROFILE = MixtureProfile(
 
 
 def main():
-    records = generate(PROFILE, 5_000, seed=11)
-    ranks = Counter(r.rank for r in records)
+    table = generate(PROFILE, 5_000, seed=11)
+    ranks = Counter(table.ranks.tolist())
     print("most common ranks out of 5,000 draws "
           "(p1=0.4, geometric tail, rate 0.03):")
     for rank, count in ranks.most_common(8):
         print(f"  rank {rank:>3}: {count}")
 
-    rank1_pop = {r.query.gold_popularity for r in records if r.rank == 1}
-    tail_pop = [r.query.gold_popularity for r in records if r.rank > 1]
+    rank1_pop = set(table.pops[table.ranks == 1].tolist())
+    tail_pop = table.pops[table.ranks > 1].tolist()
     print(f"\nrank-1 golds carry popularity {rank1_pop} by rule;"
           f" tail golds range {min(tail_pop)}..{max(tail_pop)}")
 
     again = generate(PROFILE, 5_000, seed=11)
-    assert [r.rank for r in again] == [r.rank for r in records]
-    print("same seed regenerates the identical record list.")
+    assert again.ranks.tolist() == table.ranks.tolist()
+    assert again.pops.tolist() == table.pops.tolist()
+    print("same seed regenerates the identical rank table.")
 
     for beta in (0.0, 0.8):
         config = MetricConfig(alpha=1.0, beta=beta, affine=True,
                               entity_count=PROFILE.n_entities)
-        fast = probe_score(records, config)
-        slow = oracle_probe(records, config)
+        fast = probe_score(table, config)
+        slow = oracle_probe(table, config)
         print(f"beta={beta}: score {fast:.6f}, oracle {slow:.6f}, "
               f"|diff| = {abs(fast - slow):.2e}")
     print("the popular rank-1 hits lose weight as beta grows, so the "

@@ -15,9 +15,9 @@ from .kg_data import (DatasetStats, KnowledgeGraph, build_graph, compute_popular
 from .metrics import (MetricConfig, Stratum, default_bucket_edges, hits_at_k,
                       mr, mrr, probe_score, rt_affine, rt_raw,
                       stratified_breakdown, weight)
-from .ranking import (Direction, Query, RankRecord, RankTable, ScoreRow,
-                      TiePolicy, filter_set, load_rank_file, make_queries,
-                      rank_of_gold, rank_score_file, write_rank_file)
+from .ranking import (Direction, Query, RankTable, ScoreRow, TiePolicy,
+                      filter_set, load_rank_file, make_queries, rank_of_gold,
+                      rank_score_file, write_rank_file)
 from .sweep import (CellRanking, Flip, RankBin, SweepGrid, SweepResult,
                     find_flips, rank_histogram, run_sweep, surface_export)
 from .synthetic import (ExplicitProfile, MixtureProfile, PopularityRule,
@@ -33,7 +33,7 @@ __all__ = [
     "MetricConfig", "Stratum", "default_bucket_edges",
     "hits_at_k", "mr", "mrr", "probe_score", "rt_affine", "rt_raw",
     "stratified_breakdown", "weight",
-    "Direction", "Query", "RankRecord", "RankTable", "ScoreRow", "TiePolicy",
+    "Direction", "Query", "RankTable", "ScoreRow", "TiePolicy",
     "filter_set", "load_rank_file", "make_queries", "rank_of_gold",
     "rank_score_file", "write_rank_file",
     "CellRanking", "Flip", "RankBin", "SweepGrid", "SweepResult", "find_flips",

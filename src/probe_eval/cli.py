@@ -28,8 +28,8 @@ from .errors import ParseError, ValidationError
 from .kg_data import KnowledgeGraph, dataset_stats, export_vocabulary, load_dataset
 from .metrics import (DEFAULT_HITS_KS, MetricConfig, default_bucket_edges,
                       hits_at_k, mr, mrr, probe_score, stratified_breakdown)
-from .ranking import (RankTable, TiePolicy, load_rank_file, rank_score_file,
-                      write_rank_file)
+from .ranking import (RankTable, TiePolicy, check_same_queries, load_rank_file,
+                      rank_score_file, write_rank_file)
 from .sweep import (DEFAULT_RANK_BINS, SweepGrid, histogram_export,
                     rank_histogram, run_sweep, surface_export)
 from .synthetic import generate, load_profile
@@ -173,6 +173,13 @@ def _resolve_entity_count(args, graph: KnowledgeGraph | None) -> int | None:
     return None
 
 
+def _metric_config(args, graph: KnowledgeGraph | None, alpha: float,
+                   beta: float) -> MetricConfig:
+    return MetricConfig(alpha=alpha, beta=beta, epsilon=args.epsilon,
+                        affine=not args.no_affine,
+                        entity_count=_resolve_entity_count(args, graph))
+
+
 def _tie_policy(args) -> TiePolicy:
     return TiePolicy(args.tie, seed=args.seed)
 
@@ -246,9 +253,9 @@ def _cmd_stats(args, argv: list[str]) -> int:
 def _cmd_rank(args, argv: list[str]) -> int:
     graph, pop = _load_dataset_from_args(args)
     tie = _tie_policy(args)
-    records = rank_score_file(args.scores, graph, pop, tie, raw=args.raw,
-                              allow_partial=args.allow_partial)
-    write_rank_file(records, args.out)
+    table = rank_score_file(args.scores, graph, pop, tie, raw=args.raw,
+                            allow_partial=args.allow_partial)
+    write_rank_file(table, args.out)
     manifest = RunManifest("rank", argv, config={
         "tie": tie.policy, "seed": tie.seed, "raw": args.raw, "threads": args.threads,
     })
@@ -271,9 +278,7 @@ def _echo_config(config: MetricConfig, args) -> dict:
 def _cmd_eval(args, argv: list[str]) -> int:
     graph, pop = _load_dataset_from_args(args)
     table = _load_ranks(args.ranks, graph, pop)
-    config = MetricConfig(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
-                          affine=not args.no_affine,
-                          entity_count=_resolve_entity_count(args, graph))
+    config = _metric_config(args, graph, args.alpha, args.beta)
     hits_ks = _parse_ints(args.hits, "--hits")
     edges = _strata_edges(args.strata, [table], pop)
     payload = _eval_metrics(table, config, hits_ks, edges)
@@ -302,9 +307,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     grid = SweepGrid(alphas=_parse_floats(args.alphas, "--alphas"),
                      betas=_parse_floats(args.betas, "--betas"),
                      base=base)
-    config = MetricConfig(alpha=grid.base[0], beta=grid.base[1], epsilon=args.epsilon,
-                          affine=not args.no_affine,
-                          entity_count=_resolve_entity_count(args, graph))
+    config = _metric_config(args, graph, *grid.base)
     result = run_sweep(models, grid, config)
 
     out_dir = Path(args.out)
@@ -339,12 +342,11 @@ def _cmd_compare(args, argv: list[str]) -> int:
     if len(model_files) != 2:
         raise ValidationError(f"compare needs exactly 2 models, got {len(model_files)}")
     graph, pop = _load_dataset_from_args(args)
-    config = MetricConfig(alpha=args.alpha, beta=args.beta, epsilon=args.epsilon,
-                          affine=not args.no_affine,
-                          entity_count=_resolve_entity_count(args, graph))
+    config = _metric_config(args, graph, args.alpha, args.beta)
     hits_ks = _parse_ints(args.hits, "--hits")
 
     tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
+    check_same_queries(tables)
     # one shared bucket scheme so the per-stratum rows align across models
     edges = _strata_edges(args.strata, list(tables.values()), pop)
     per_model = {name: _eval_metrics(table, config, hits_ks, edges)
@@ -385,8 +387,7 @@ def _cmd_compare(args, argv: list[str]) -> int:
 
 def _cmd_synth(args, argv: list[str]) -> int:
     profile = load_profile(args.profile)
-    records = generate(profile, args.n, args.seed)
-    write_rank_file(records, args.out)
+    write_rank_file(generate(profile, args.n, args.seed), args.out)
     manifest = RunManifest("synth", argv,
                            config={"n": args.n, "seed": args.seed})
     manifest.add_input(args.profile)
@@ -503,6 +504,10 @@ def dispatch(argv: Sequence[str]) -> int:
         return 1
     except ValidationError as exc:
         sys.stderr.write(f"error[validation]: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write("error[validation]: input needs more memory than is "
+                         f"available ({str(exc) or 'MemoryError'})\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"error[io]: {exc}\n")

@@ -8,10 +8,10 @@ the full [0, 1] range regardless of alpha or entity count.  Aggregation is
 a weighted mean with weights (epsilon + popularity)**(-beta), so beta > 0
 down-weights queries whose gold entity was frequent in training.
 
-Every metric reads the rank and popularity columns of a RankTable (a
-sequence of RankRecords is converted first).  Every float reduction goes
-through exact_sum, which returns math.fsum's exactly rounded sum bit for
-bit, so every metric here is bit-identical under record permutation.
+Every metric reads the rank and popularity columns of a RankTable.  Every
+float reduction goes through exact_sum, which returns math.fsum's exactly
+rounded sum bit for bit, so every metric here is bit-identical under
+record permutation.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .ranking import RankRecord, RankTable, as_rank_table
+from .ranking import RankTable
 
 DEFAULT_HITS_KS = (1, 3, 10)
-
-Records = RankTable | Sequence[RankRecord]
 
 
 @dataclass(frozen=True)
@@ -185,19 +183,18 @@ def exact_sum(values: np.ndarray) -> float:
     return total if total != 0.0 else math.fsum(values.tolist())
 
 
-def _table(records: Records, empty_message: str) -> RankTable:
-    table = as_rank_table(records)
+def _nonempty(table: RankTable, empty_message: str) -> RankTable:
     if not len(table):
         raise ValidationError(empty_message)
     return table
 
 
-def probe_score(records: Records, config: MetricConfig) -> float:
+def probe_score(table: RankTable, config: MetricConfig) -> float:
     """Transform each record's rank, weight it by gold popularity, aggregate.
 
     Deterministic regardless of record order.
     """
-    table = _table(records, "cannot score an empty record list")
+    _nonempty(table, "cannot score an empty record list")
     return _probe_from_arrays(table.ranks, table.pops, config)
 
 
@@ -207,21 +204,21 @@ def _probe_from_arrays(ranks: np.ndarray, pops: np.ndarray,
     return exact_sum(weights * transform_ranks(ranks, config)) / exact_sum(weights)
 
 
-def mr(records: Records) -> float:
+def mr(table: RankTable) -> float:
     """Arithmetic mean of the ranks."""
-    ranks = _table(records, "cannot compute mean rank of no records").ranks
+    ranks = _nonempty(table, "cannot compute mean rank of no records").ranks
     return exact_sum(ranks.astype(np.float64)) / len(ranks)
 
 
-def mrr(records: Records) -> float:
+def mrr(table: RankTable) -> float:
     """Mean reciprocal rank."""
-    ranks = _table(records, "cannot compute MRR of no records").ranks
+    ranks = _nonempty(table, "cannot compute MRR of no records").ranks
     return exact_sum(1.0 / ranks) / len(ranks)
 
 
-def hits_at_k(records: Records, k: int) -> float:
+def hits_at_k(table: RankTable, k: int) -> float:
     """Fraction of records ranked within the top k."""
-    ranks = _table(records, "cannot compute hits@k of no records").ranks
+    ranks = _nonempty(table, "cannot compute hits@k of no records").ranks
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return int(np.count_nonzero(ranks <= k)) / len(ranks)
@@ -249,7 +246,7 @@ def default_bucket_edges(delta_max: int) -> list[int]:
     return edges
 
 
-def stratified_breakdown(records: Records, bucket_edges: Sequence[int],
+def stratified_breakdown(table: RankTable, bucket_edges: Sequence[int],
                          config: MetricConfig) -> list[Stratum]:
     """Per-popularity-bucket record counts and scores.
 
@@ -264,7 +261,6 @@ def stratified_breakdown(records: Records, bucket_edges: Sequence[int],
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValidationError(f"bucket edges must be strictly ascending, got {edges}")
 
-    table = as_rank_table(records)
     unweighted = config.with_cell(config.alpha, 0.0)
     bucket = np.searchsorted(edges, table.pops, side="right") - 1
     out: list[Stratum] = []

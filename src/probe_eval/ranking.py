@@ -15,7 +15,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterator, Mapping
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class ScoreRow:
 
 @dataclass(frozen=True)
 class RankRecord:
-    """One evaluated query: the (filtered) rank of its gold entity."""
+    """rank_of_gold's result: the (filtered) rank of one query's gold entity."""
 
     query: Query
     rank: int
@@ -100,15 +100,22 @@ class RankTable:
         return len(self.keys)
 
 
-def as_rank_table(records: RankTable | Sequence[RankRecord]) -> RankTable:
-    """The columns of a record sequence; a RankTable passes through."""
-    if isinstance(records, RankTable):
-        return records
-    return RankTable(
-        keys=["\t".join(r.query.key()) for r in records],
-        ranks=np.fromiter((r.rank for r in records), dtype=np.int64, count=len(records)),
-        pops=np.fromiter((r.query.gold_popularity for r in records),
-                         dtype=np.int64, count=len(records)))
+def check_same_queries(tables: Mapping[str, RankTable]) -> None:
+    """Reject models that do not rank the same query set as the first one."""
+    reference, *others = tables
+    ref_keys = sorted(tables[reference].keys)
+    for name in others:
+        keys = sorted(tables[name].keys)
+        if len(keys) != len(ref_keys):
+            raise ValidationError(
+                f"model {name!r} has {len(keys)} records but {reference!r} "
+                f"has {len(ref_keys)}")
+        if keys != ref_keys:
+            ref_key, key = next((tuple(a.split("\t")), tuple(b.split("\t")))
+                                for a, b in zip(ref_keys, keys) if a != b)
+            raise ValidationError(
+                f"models {reference!r} and {name!r} rank different query sets; "
+                f"first divergence: {ref_key} vs {key}")
 
 
 class TiePolicy:
@@ -318,13 +325,11 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
     return RankTable(keys, np.array(ranks, dtype=np.int64), pops)
 
 
-def write_rank_file(records: Iterable[RankRecord], path: str | Path) -> None:
-    """Serialize records to the 5-column rank TSV."""
+def write_rank_file(table: RankTable, path: str | Path) -> None:
+    """Serialize a table to the 5-column rank TSV."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        for rec in records:
-            q = rec.query
-            handle.write(f"{q.head}\t{q.relation}\t{q.tail}\t"
-                         f"{q.direction.value}\t{rec.rank}\n")
+        handle.writelines(f"{key}\t{rank}\n"
+                          for key, rank in zip(table.keys, table.ranks.tolist()))
 
 
 def iter_score_rows(path: str | Path,
@@ -374,7 +379,7 @@ def iter_score_rows(path: str | Path,
 
 def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
                     tie: TiePolicy, raw: bool = False,
-                    allow_partial: bool = False) -> list[RankRecord]:
+                    allow_partial: bool = False) -> RankTable:
     """Rank a score file's rows, each as it is read, against the test queries.
 
     Every one of the 2*|test| queries must appear exactly once unless
@@ -383,21 +388,20 @@ def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
     canonical query order (head-masked then tail-masked per test triple).
     """
     queries = make_queries(graph, pop)
-    by_key = {q.key(): i for i, q in enumerate(queries)}
+    keys = ["\t".join(q.key()) for q in queries]
+    by_key = {key: i for i, key in enumerate(keys)}
     ranks = np.zeros(len(queries), dtype=np.int64)  # 0: no row read yet
     for lineno, row in iter_score_rows(path, graph):
-        idx = by_key.get(row.query.key())
+        idx = by_key.get("\t".join(row.query.key()))
         if idx is None:
             raise ValidationError(f"{path}:{lineno}: score row {row.query.key()} "
                                   "does not match any test query")
         if ranks[idx]:
             raise ValidationError(
                 f"{path}:{lineno}: duplicate score row for query {row.query.key()}")
-        # the canonical query carries the gold popularity
-        query = queries[idx]
-        excluded = () if raw else filter_set(query, graph)
+        excluded = () if raw else filter_set(row.query, graph)
         try:
-            ranks[idx] = rank_of_gold(ScoreRow(query, row.scores), excluded, tie).rank
+            ranks[idx] = rank_of_gold(row, excluded, tie).rank
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
@@ -407,4 +411,6 @@ def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
         raise ValidationError(
             f"score file covers {len(seen)} of {len(queries)} test queries; "
             f"first missing: {queries[missing].key()}")
-    return [RankRecord(query=queries[i], rank=int(ranks[i])) for i in seen]
+    pops = np.fromiter((queries[i].gold_popularity for i in seen.tolist()),
+                       dtype=np.int64, count=len(seen))
+    return RankTable([keys[i] for i in seen.tolist()], ranks[seen], pops)

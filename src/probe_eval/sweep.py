@@ -23,9 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import (MetricConfig, Records, exact_sum, popularity_weights,
-                      transform_ranks)
-from .ranking import RankTable, as_rank_table
+from .metrics import MetricConfig, exact_sum, popularity_weights, transform_ranks
+from .ranking import RankTable, check_same_queries
 
 TIE_TOLERANCE = 1e-12
 
@@ -150,7 +149,7 @@ def find_flips(result: SweepResult) -> list[Flip]:
     return flips
 
 
-def run_sweep(models: Mapping[str, Records], grid: SweepGrid,
+def run_sweep(models: Mapping[str, RankTable], grid: SweepGrid,
               config: MetricConfig) -> SweepResult:
     """Score every model at every cell, then derive rankings and flips.
 
@@ -159,8 +158,8 @@ def run_sweep(models: Mapping[str, Records], grid: SweepGrid,
     """
     if not models:
         raise ValidationError("sweep needs at least one model")
-    tables = {name: as_rank_table(models[name]) for name in sorted(models)}
-    _check_same_queries(tables)
+    tables = {name: models[name] for name in sorted(models)}
+    check_same_queries(tables)
 
     # beta sets only the weights and alpha only the transform: each model's
     # weights and their sum are computed once per beta, then every cell is
@@ -183,23 +182,6 @@ def run_sweep(models: Mapping[str, Records], grid: SweepGrid,
     return result
 
 
-def _check_same_queries(tables: Mapping[str, RankTable]) -> None:
-    reference, *others = tables
-    ref_keys = sorted(tables[reference].keys)
-    for name in others:
-        keys = sorted(tables[name].keys)
-        if len(keys) != len(ref_keys):
-            raise ValidationError(
-                f"model {name!r} has {len(keys)} records but {reference!r} "
-                f"has {len(ref_keys)}")
-        if keys != ref_keys:
-            ref_key, key = next((tuple(a.split("\t")), tuple(b.split("\t")))
-                                for a, b in zip(ref_keys, keys) if a != b)
-            raise ValidationError(
-                f"models {reference!r} and {name!r} rank different query sets; "
-                f"first divergence: {ref_key} vs {key}")
-
-
 @dataclass(frozen=True)
 class RankBin:
     """Half-open rank bin [lo, hi); hi None means unbounded."""
@@ -209,7 +191,7 @@ class RankBin:
     count: int
 
 
-def rank_histogram(records: Records,
+def rank_histogram(table: RankTable,
                    bins: Sequence[int] = DEFAULT_RANK_BINS) -> list[RankBin]:
     """Count records per rank bin; the final bin is [last edge, inf)."""
     edges = list(bins)
@@ -217,8 +199,7 @@ def rank_histogram(records: Records,
         raise ValidationError(f"rank bins must start at 1, got {edges[:1]}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValidationError(f"rank bins must be strictly ascending, got {edges}")
-    ranks = as_rank_table(records).ranks
-    counts = np.bincount(np.searchsorted(edges, ranks, side="right") - 1,
+    counts = np.bincount(np.searchsorted(edges, table.ranks, side="right") - 1,
                          minlength=len(edges))
     out = []
     for i, count in enumerate(counts):

@@ -1,4 +1,4 @@
-"""Parametric synthetic rank-record sets and an independent scoring oracle.
+"""Parametric synthetic rank tables and an independent scoring oracle.
 
 Profiles either replay an explicit rank multiset or sample a two-part
 mixture: rank 1 with probability p1, and a truncated geometric tail over
@@ -14,22 +14,27 @@ implementation.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import ValidationError, open_text
-from .ranking import Direction, Query, RankRecord
+from .ranking import RankTable
 
 _TAIL_SUM_TOL = 1e-9
+_MAX_ITEMS = sys.maxsize // 8  # NumPy refuses a larger array of 8-byte items
 
 
 def _require_int(name: str, value) -> None:
-    # bool is an int subclass, but a JSON true is not a count
+    # bool is an int subclass, but a JSON true is not a count; counts are
+    # held in int64 columns
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value >= 2 ** 63:
+        raise ValidationError(f"{name} must be < 2**63, got {value}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +186,7 @@ def load_profile(path: str | Path) -> RankProfile:
     return profile_from_dict(data)
 
 
-def _record(i: int, rank: int, popularity: int) -> RankRecord:
-    # deterministic query labels keyed by position so records from two
-    # profiles with the same n match query-for-query in sweeps
-    return RankRecord(
-        query=Query(head=f"q{i:06d}", relation="synthetic", tail=f"e{i:06d}",
-                    direction=Direction.TAIL, gold_popularity=popularity),
-        rank=rank)
-
-
-def generate(profile: RankProfile, n: int, seed: int) -> list[RankRecord]:
+def generate(profile: RankProfile, n: int, seed: int) -> RankTable:
     """Sample n records from the profile; pure function of (profile, n, seed)."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -201,23 +197,29 @@ def generate(profile: RankProfile, n: int, seed: int) -> list[RankRecord]:
         if n != len(profile.ranks):
             raise ValidationError(
                 f"explicit profile has {len(profile.ranks)} ranks but n={n}")
-        pops = profile.popularities or (0,) * n
-        return [_record(i, rank, pop)
-                for i, (rank, pop) in enumerate(zip(profile.ranks, pops))]
+        ranks = np.array(profile.ranks, dtype=np.int64)
+        pops = np.array(profile.popularities or (0,) * n, dtype=np.int64)
+    else:
+        size = max(n, profile.n_entities)
+        if size > _MAX_ITEMS:
+            raise MemoryError(f"{size} ranks do not fit in one array")
+        rng = np.random.default_rng(seed)
+        ranks = rng.choice(profile.n_entities, size=n, p=profile.pmf()) + 1
+        pops = np.array([profile.popularity_for(rank, rng) for rank in ranks.tolist()],
+                        dtype=np.int64)
+    # deterministic query labels keyed by position so tables from two
+    # profiles with the same n match query-for-query in sweeps
+    keys = [f"q{i:06d}\tsynthetic\te{i:06d}\ttail" for i in range(n)]
+    return RankTable(keys, ranks, pops)
 
-    rng = np.random.default_rng(seed)
-    ranks = rng.choice(profile.n_entities, size=n, p=profile.pmf()) + 1
-    return [_record(i, int(rank), profile.popularity_for(int(rank), rng))
-            for i, rank in enumerate(ranks)]
 
-
-def oracle_probe(records: Sequence[RankRecord], config) -> float:
+def oracle_probe(table: RankTable, config) -> float:
     """Direct single-loop re-derivation of the aggregate score.
 
     Naive left-to-right summation on purpose: at the sizes tested, any
     disagreement with the main path beyond float noise flags a real bug.
     """
-    if not records:
+    if not len(table):
         raise ValidationError("cannot score an empty record list")
     alpha = config.alpha
     if alpha <= 0:
@@ -234,16 +236,16 @@ def oracle_probe(records: Sequence[RankRecord], config) -> float:
 
     numerator = 0.0
     total_weight = 0.0
-    for rec in records:
-        if rec.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {rec.rank}")
-        score = float(rec.rank) ** -alpha
+    for rank, popularity in zip(table.ranks.tolist(), table.pops.tolist()):
+        if rank < 1:
+            raise ValidationError(f"rank must be >= 1, got {rank}")
+        score = float(rank) ** -alpha
         if config.affine:
-            if rec.rank > config.entity_count:
+            if rank > config.entity_count:
                 raise ValidationError(
-                    f"rank {rec.rank} exceeds entity_count {config.entity_count}")
+                    f"rank {rank} exceeds entity_count {config.entity_count}")
             score = (score - 1.0) / denominator + 1.0
-        w = (config.epsilon + rec.query.gold_popularity) ** -config.beta
+        w = (config.epsilon + popularity) ** -config.beta
         numerator += w * score
         total_weight += w
     return numerator / total_weight

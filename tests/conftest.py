@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from probe_eval.ranking import Direction, Query, RankRecord
+from probe_eval.ranking import RankTable
 
 
 def pytest_runtest_logreport(report):
@@ -19,18 +19,16 @@ def pytest_runtest_logreport(report):
         print(f"[acceptance] {name}: SKIPPED")
 
 
-def make_record(rank: int, popularity: int = 0, index: int = 0,
-                direction: Direction = Direction.TAIL) -> RankRecord:
-    """A standalone rank record with deterministic query labels."""
-    return RankRecord(
-        query=Query(head=f"h{index}", relation="r", tail=f"t{index}",
-                    direction=direction, gold_popularity=popularity),
-        rank=rank)
+def make_records(ranks, pops=None, index=None) -> RankTable:
+    """A rank table with deterministic ``h{i}<TAB>r<TAB>t{i}<TAB>tail`` keys.
 
-
-def make_records(ranks, pops=None) -> list[RankRecord]:
-    pops = pops if pops is not None else [0] * len(ranks)
-    return [make_record(r, p, i) for i, (r, p) in enumerate(zip(ranks, pops))]
+    index gives each record's i (default: its position), so a test can
+    permute records or make two tables disagree on one query.
+    """
+    index = range(len(ranks)) if index is None else index
+    pops = [0] * len(ranks) if pops is None else pops
+    return RankTable([f"h{i}\tr\tt{i}\ttail" for i in index],
+                     np.array(ranks, dtype=np.int64), np.array(pops, dtype=np.int64))
 
 
 def brute_force_rank(scores: np.ndarray, gold: int, filter_ids: set[int],

@@ -300,6 +300,24 @@ class TestCompare:
         assert run_cli("compare", "--ranks", f"a={a}",
                        "--entities", "100") == 1
 
+    def test_fewer_queries_rejected(self, rankfile, tmp_path, capsys):
+        one = tmp_path / "one.tsv"
+        one.write_text(rankfile.read_text(encoding="utf-8").splitlines(keepends=True)[0],
+                       encoding="utf-8")
+        assert run_cli("compare", "--ranks", f"full={rankfile}", f"one={one}",
+                       "--entities", "10") == 1
+        assert single_error_line(capsys, "validation").endswith(
+            "model 'one' has 1 records but 'full' has 4")
+        assert capsys.readouterr().out == ""
+
+    def test_other_queries_rejected(self, rankfile, tmp_path, capsys):
+        other = tmp_path / "other.tsv"
+        other.write_text(rankfile.read_text(encoding="utf-8").replace("d\tr1", "x\tr1"),
+                         encoding="utf-8")
+        assert run_cli("compare", "--ranks", f"full={rankfile}", f"other={other}",
+                       "--entities", "10", "--format", "json") == 1
+        assert "first divergence" in single_error_line(capsys, "validation")
+
 
 class TestSynth:
     def test_deterministic_output(self, tmp_path):
@@ -323,6 +341,22 @@ class TestSynth:
                        "--no-affine") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mrr"] == pytest.approx(7 / 12, rel=1e-12)
+
+    @pytest.mark.parametrize("payload,n,digest", [
+        ({"kind": "mixture", "p1": 0.35, "tail_rate": 0.01, "n_entities": 40_943,
+          "popularity_model": [{"max_rank": 1, "low": 0, "high": 7000},
+                               {"low": 0, "high": 500}]}, 40_932,
+         "e08e0ad327d913e6f55ba20d3e01c0c8985be7da65a39b96f7bc3f6c0d8cd1d4"),
+        ({"kind": "explicit", "ranks": [1, 5, 9, 2], "popularities": [0, 3, 10, 2]}, 4,
+         "f8e3e3817459887cbfdbe53216e69ad51241234b2d52551d4b03848cdf1f75f0"),
+    ], ids=["mixture", "explicit"])
+    def test_output_bytes_are_pinned(self, tmp_path, payload, n, digest):
+        """Any change to the sampling order, the labels or the format shows here."""
+        profile = write_profile(tmp_path / "p.json", payload)
+        out = tmp_path / "r.tsv"
+        assert run_cli("synth", "--profile", profile, "--n", str(n),
+                       "--seed", "3", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_bad_profile_is_validation_error(self, tmp_path, capsys):
         profile = write_profile(tmp_path / "p.json", {"kind": "what"})
@@ -366,8 +400,8 @@ class TestDispatch:
 
 class TestCompareStrataAlignment:
     def test_divergent_popularity_ranges_share_buckets(self, tmp_path, capsys):
-        """Models whose gold popularities span different ranges must still
-        render aligned per-stratum rows (one shared bucket scheme)."""
+        """Golds of very different popularity fall in different buckets, and
+        every per-stratum row carries a cell for both models."""
         g = tmp_path / "ds"
         g.mkdir()
         # popular entity 'hub' appears in many training triples; 'leaf' in one
@@ -378,9 +412,10 @@ class TestCompareStrataAlignment:
 
         a = tmp_path / "a.tsv"
         b = tmp_path / "b.tsv"
-        # model a only ranks the popular-gold query, model b the rare one
-        a.write_text("hub\tr\te1\thead\t1\n", encoding="utf-8")
-        b.write_text("leaf\tr\te2\thead\t3\n", encoding="utf-8")
+        # both models rank the popular-gold and the rare-gold query, in
+        # different line orders
+        a.write_text("hub\tr\te1\thead\t1\nleaf\tr\te2\thead\t3\n", encoding="utf-8")
+        b.write_text("leaf\tr\te2\thead\t2\nhub\tr\te1\thead\t4\n", encoding="utf-8")
         assert run_cli("compare", "--ranks", f"a={a}", f"b={b}",
                        "--dataset", str(g)) == 0
         out = capsys.readouterr().out
@@ -390,6 +425,8 @@ class TestCompareStrataAlignment:
         # every strata row carries a cell for both models
         for line in strata_rows:
             assert line.count("(n=") == 2
+        # hub and leaf land in two different buckets, one query each
+        assert sum(line.count("(n=1)") == 2 for line in strata_rows) == 2, out
 
 
 class TestManifestDigest:
@@ -657,6 +694,84 @@ def test_fuzzed_rank_file_keeps_the_cli_contract(fuzz_dir, data):
         texts.append(stdout.getvalue())
     for text in texts:
         json.loads(text, parse_constant=_reject_constant)
+
+
+def _hostile(data):
+    """A JSON value of the wrong kind for most profile fields."""
+    return data.draw(st.one_of(
+        st.booleans(), st.none(), st.floats(), st.integers(-3, 3),
+        st.sampled_from(["7", "", [], {}, [1, "2"], 2 ** 63, 10 ** 400])))
+
+
+def _fuzzed_profile(data):
+    """An explicit or mixture profile, or a non-object, with hostile edits."""
+    kind = data.draw(st.sampled_from(["explicit", "mixture", "non-object"]))
+    if kind == "non-object":
+        return data.draw(st.sampled_from([[], [{"kind": "explicit"}], "explicit", 3, None]))
+    if kind == "explicit":
+        ranks = data.draw(st.lists(st.integers(-1, 10 ** 6), min_size=0, max_size=8))
+        profile = {"kind": "explicit", "ranks": ranks}
+        if data.draw(st.booleans()):
+            profile["popularities"] = data.draw(
+                st.lists(st.integers(-1, 10 ** 6), min_size=0, max_size=8))
+    else:
+        rule = dict(data.draw(st.sampled_from([
+            {"constant": 3}, {"low": 0, "high": 50}, {"low": 5, "high": 1}, {"low": 0}, {}])))
+        if data.draw(st.booleans()):
+            rule[data.draw(st.sampled_from(["constant", "low", "high"]))] = _hostile(data)
+        profile = {"kind": "mixture",
+                   "p1": data.draw(st.floats(-0.5, 1.5)),
+                   "tail_rate": data.draw(st.floats(-0.5, 1.5)),
+                   "n_entities": data.draw(st.integers(-1, 10 ** 5)),
+                   "popularity_model": [dict(rule, max_rank=data.draw(st.integers(-1, 5))),
+                                        rule]}
+    for _ in range(data.draw(st.integers(0, 2))):
+        field = data.draw(st.sampled_from(sorted(profile)))
+        if data.draw(st.booleans()):
+            del profile[field]
+        else:
+            profile[field] = _hostile(data)
+    return profile
+
+
+def _synth_contract(fuzz_dir, profile, n) -> tuple[int, str]:
+    """Run synth; exit 0, 1 or 2, at most one error[...] line, no traceback."""
+    path = fuzz_dir / "profile.json"
+    path.write_text(json.dumps(profile), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = dispatch(["synth", "--profile", str(path), "--n", str(n),
+                         "--seed", "1", "--out", str(fuzz_dir / "synth.tsv")])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert sum(line.startswith("error[") for line in err.splitlines()) <= 1, err
+    return code, err
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_profile_keeps_the_synth_contract(fuzz_dir, data):
+    """Sizes stay small (n_entities <= 10**5, --n <= 10**4): nothing large is allocated."""
+    profile = _fuzzed_profile(data)
+    ranks = profile.get("ranks") if isinstance(profile, dict) else None
+    n = data.draw(st.one_of(st.integers(-2, 10 ** 4), st.just(
+        len(ranks) if isinstance(ranks, list) else 1)))
+    _synth_contract(fuzz_dir, profile, n)
+
+
+@pytest.mark.parametrize("n_entities,n,message", [
+    (10 ** 15, 5, "needs more memory"), (100, 10 ** 15, "needs more memory"),
+    (2 ** 62, 5, "needs more memory"), (100, 10 ** 20, "needs more memory"),
+    (2 ** 64, 5, "n_entities must be < 2**63"),
+], ids=["pmf-7PiB", "draws-7PiB", "pmf-past-numpy", "draws-past-int64",
+        "n-entities-past-int64"])
+def test_oversized_synth_is_one_error_line(fuzz_dir, n_entities, n, message):
+    """Each size fails at once: 8 bytes times 10**15 exceeds the address space."""
+    profile = {"kind": "mixture", "p1": 0.3, "tail_rate": 0.1, "n_entities": n_entities}
+    code, err = _synth_contract(fuzz_dir, profile, n)
+    assert code == 1
+    assert err.startswith("error[validation]: ") and message in err, err
 
 
 def test_dispatch_returns_zero_for_help_and_version(capsys):

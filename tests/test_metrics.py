@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, make_records
+from conftest import make_records
 from probe_eval import metrics
 from probe_eval.errors import ValidationError
 from probe_eval.metrics import (MetricConfig, default_bucket_edges, exact_sum, hits_at_k,
@@ -172,7 +172,7 @@ class TestProbeScore:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            probe_score([], MetricConfig(affine=False))
+            probe_score(make_records([]), MetricConfig(affine=False))
 
     def test_weights_do_not_underflow(self):
         """(1 + 5000)**-90 is 0.0 in floats; the scaled weights are not."""
@@ -209,7 +209,7 @@ class TestProbeScore:
     @settings(max_examples=40)
     def test_mr_reduction_via_rt_raw(self, ranks):
         records = make_records(ranks)
-        mean_raw = sum(rt_raw(r.rank, -1.0) for r in records) / len(records)
+        mean_raw = sum(rt_raw(r, -1.0) for r in ranks) / len(ranks)
         assert mean_raw == pytest.approx(mr(records), rel=1e-12)
 
     @given(pairs=st.lists(st.tuples(st.integers(1, 5000), st.integers(0, 1000)),
@@ -232,7 +232,7 @@ class TestProbeScore:
     def test_beta_zero_is_unweighted_mean(self, pairs):
         records = make_records([r for r, _ in pairs], [p for _, p in pairs])
         cfg = MetricConfig(alpha=0.8, beta=0.0, affine=True, entity_count=1000)
-        transformed = [rt_affine(r.rank, 0.8, 1000) for r in records]
+        transformed = [rt_affine(r, 0.8, 1000) for r, _ in pairs]
         assert probe_score(records, cfg) == \
             pytest.approx(math.fsum(transformed) / len(transformed), rel=1e-12)
 
@@ -242,8 +242,10 @@ class TestProbeScore:
     @settings(max_examples=40)
     def test_permutation_invariance_is_exact(self, pairs, seed):
         records = make_records([r for r, _ in pairs], [p for _, p in pairs])
-        shuffled = records[:]
-        random.Random(seed).shuffle(shuffled)
+        order = list(range(len(pairs)))
+        random.Random(seed).shuffle(order)
+        shuffled = make_records([pairs[i][0] for i in order], [pairs[i][1] for i in order],
+                                index=order)
         cfg = MetricConfig(alpha=1.3, beta=0.6, affine=True, entity_count=1000)
         assert probe_score(records, cfg) == probe_score(shuffled, cfg)
         assert mr(records) == mr(shuffled)
@@ -403,7 +405,7 @@ class TestBaselines:
     def test_empty_records_rejected(self):
         for fn in (mr, mrr):
             with pytest.raises(ValidationError):
-                fn([])
+                fn(make_records([]))
 
     @given(ranks=st.lists(ranks_st, min_size=1, max_size=200),
            k=st.integers(1, 100))
@@ -452,11 +454,12 @@ class TestStratifiedBreakdown:
         strata = stratified_breakdown(records, edges, cfg)
         assert sum(s.count for s in strata) == len(records)
         # per-record loop reference for the vectorised bucket assignment
-        buckets = [[r for r in records if lo <= r.query.gold_popularity < hi]
+        buckets = [[(r, p) for r, p in pairs if lo <= p < hi]
                    for lo, hi in zip(edges, edges[1:] + [math.inf])]
         assert [s.count for s in strata] == [len(b) for b in buckets]
-        assert [s.score for s in strata] == [probe_score(b, cfg) if b else None
-                                             for b in buckets]
+        assert [s.score for s in strata] == [
+            probe_score(make_records([r for r, _ in b], [p for _, p in b]), cfg) if b else None
+            for b in buckets]
 
 
 class TestDefaultBucketEdges:

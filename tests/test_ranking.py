@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_rank
+from conftest import brute_force_rank, make_records
 from probe_eval.errors import ParseError, ValidationError
 from probe_eval.kg_data import build_graph, compute_popularity, load_dataset
 from probe_eval.ranking import (Direction, Query, RankRecord, ScoreRow,
@@ -287,13 +287,14 @@ class TestRankFileIO:
         assert len(load_rank_file(path)) == 500
 
     def test_write_then_load_roundtrip(self, tmp_path):
-        records = [RankRecord(query_for(0, head=f"h{i}", tail=f"t{i}"), i + 1)
-                   for i in range(10)]
+        table = make_records(list(range(1, 11)), index=range(10))
         path = tmp_path / "r.tsv"
-        write_rank_file(records, path)
+        write_rank_file(table, path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            f"h{i}\tr\tt{i}\ttail\t{i + 1}\n" for i in range(10))
         loaded = load_rank_file(path)
-        assert [(tuple(k.split("\t")), r) for k, r in zip(loaded.keys, loaded.ranks.tolist())] == \
-            [(r.query.key(), r.rank) for r in records]
+        assert loaded.keys == table.keys
+        assert loaded.ranks.tolist() == table.ranks.tolist()
 
 
 def write_score_file(path, graph, rows):
@@ -323,25 +324,22 @@ class TestRankScoreFile:
         path = tmp_path / "s.jsonl"
         write_score_file(path, g, self.score_rows(
             g, [0.2, 0.1, 0.9], [0.1, 0.8, 0.9]))
-        records = rank_score_file(path, g, pop, TiePolicy("average"))
-        by_dir = {r.query.direction: r for r in records}
-        assert by_dir[Direction.HEAD].rank == 1  # c filtered away
-        assert by_dir[Direction.TAIL].rank == 2  # c outranks b, not filtered
+        table = rank_score_file(path, g, pop, TiePolicy("average"))
+        assert table.keys == ["a\tr\tb\thead", "a\tr\tb\ttail"]
+        # head: c filtered away; tail: c outranks b, not filtered
+        assert table.ranks.tolist() == [1, 2]
+        assert table.pops.tolist() == [pop[g.entity_ids["a"]], pop[g.entity_ids["b"]]]
 
     def test_raw_mode_keeps_competitors(self, small):
         tmp_path, g, pop = small
         path = tmp_path / "s.jsonl"
         write_score_file(path, g, self.score_rows(
             g, [0.2, 0.1, 0.9], [0.1, 0.8, 0.9]))
-        records = rank_score_file(path, g, pop, TiePolicy("average"), raw=True)
-        by_dir = {r.query.direction: r for r in records}
-        assert by_dir[Direction.HEAD].rank == 2
+        raw = rank_score_file(path, g, pop, TiePolicy("average"), raw=True)
+        assert raw.ranks[0] == 2  # the head query
         filtered = rank_score_file(path, g, pop, TiePolicy("average"))
-        for direction in (Direction.HEAD, Direction.TAIL):
-            raw_rank = {r.query.direction: r for r in records}[direction].rank
-            f_rank = {r.query.direction: r
-                      for r in filtered}[direction].rank
-            assert f_rank <= raw_rank
+        assert filtered.keys == raw.keys
+        assert (filtered.ranks <= raw.ranks).all()
 
     def test_missing_query_is_error(self, small):
         tmp_path, g, pop = small
@@ -354,9 +352,9 @@ class TestRankScoreFile:
         tmp_path, g, pop = small
         path = tmp_path / "s.jsonl"
         write_score_file(path, g, [("a", "r", "b", "head", [0.2, 0.1, 0.9])])
-        records = rank_score_file(path, g, pop, TiePolicy("average"),
-                                  allow_partial=True)
-        assert len(records) == 1
+        table = rank_score_file(path, g, pop, TiePolicy("average"),
+                                allow_partial=True)
+        assert len(table) == 1
 
     def test_duplicate_row_is_error(self, small):
         tmp_path, g, pop = small
@@ -406,9 +404,9 @@ class TestRankScoreFile:
                         ties = sum(1 for e in range(g.n_entities) if e != query.gold_id
                                    and e not in excluded and row[e] == row[query.gold_id])
                         draw = documented_draw(seed, query, ties)
-                        expected.append((query.key(), brute_force_rank(
+                        expected.append(("\t".join(query.key()), brute_force_rank(
                             row, query.gold_id, excluded, policy, draw)))
-                    assert [(r.query.key(), r.rank) for r in got] == expected
+                    assert list(zip(got.keys, got.ranks.tolist())) == expected
 
     def test_holds_one_row_at_a_time(self, tmp_path):
         """400 rows x 5,000 entities would hold 16 MB as float64 rows."""
@@ -425,11 +423,11 @@ class TestRankScoreFile:
         rank_score_file(path, g, pop, TiePolicy("average"))  # lazy imports, filter index
         tracemalloc.start()
         try:
-            records = rank_score_file(path, g, pop, TiePolicy("average"))
+            table = rank_score_file(path, g, pop, TiePolicy("average"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(records) == 2 * n_test
+        assert len(table) == 2 * n_test
         row_bytes = 8 * n_entities
         assert peak < 40 * row_bytes, f"traced peak {peak} bytes"
 
@@ -469,9 +467,8 @@ class TestRankScoreFile:
         path = tmp_path / "s.jsonl"
         rows = self.score_rows(g, [0.2, 0.1, 0.9], [0.1, 0.8, 0.9])
         write_score_file(path, g, rows[::-1])  # tail row first in the file
-        records = rank_score_file(path, g, pop, TiePolicy("average"))
-        assert [r.query.direction for r in records] == \
-            [Direction.HEAD, Direction.TAIL]
+        table = rank_score_file(path, g, pop, TiePolicy("average"))
+        assert [key.split("\t")[3] for key in table.keys] == ["head", "tail"]
 
 
 def documented_draw(seed: int, query: Query, tie_count: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, make_records
+from conftest import make_records
 from probe_eval.errors import ValidationError
 from probe_eval.metrics import MetricConfig, probe_score
 from probe_eval.sweep import (DEFAULT_RANK_BINS, SweepGrid, SweepResult, _rank_cell,
@@ -58,7 +58,7 @@ class TestRunSweep:
 
     def test_identical_models_tie_everywhere(self):
         records = make_records([3, 7, 1], pops=[1, 0, 4])
-        models = {"a": records, "b": list(records)}
+        models = {"a": records, "b": records}
         result = run_sweep(models, SweepGrid(), BASE_CONFIG)
         assert result.flips == []
         for cell in result.grid.cells():
@@ -105,8 +105,8 @@ class TestRunSweep:
             run_sweep(models, SweepGrid(), BASE_CONFIG)
 
     def test_mismatched_query_identity_reported(self):
-        a = [make_record(1, index=0), make_record(2, index=1)]
-        b = [make_record(1, index=0), make_record(2, index=99)]
+        a = make_records([1, 2])
+        b = make_records([1, 2], index=[0, 99])
         with pytest.raises(ValidationError, match="first divergence"):
             run_sweep({"a": a, "b": b}, SweepGrid(), BASE_CONFIG)
 
@@ -133,7 +133,8 @@ class TestCellParity:
             ranks = data.draw(st.lists(st.integers(1, 10_000),
                                        min_size=n_records, max_size=n_records))
             order = data.draw(st.permutations(range(n_records)))
-            models[f"m{m}"] = [make_record(ranks[i], pops[i], i) for i in order]
+            models[f"m{m}"] = make_records([ranks[i] for i in order],
+                                           [pops[i] for i in order], index=order)
         grid = SweepGrid(alphas=(0.1, 1.0, 7.0), betas=(0.0, 1.0, 50.0), base=(1.0, 0.0))
         config = BASE_CONFIG if affine else MetricConfig(affine=False)
         result = run_sweep(models, grid, config)
@@ -230,7 +231,7 @@ class TestRankHistogram:
             (1, 2, 2), (2, 11, 1), (11, 101, 1), (101, None, 0)]
 
     def test_empty_records(self):
-        bins = rank_histogram([], DEFAULT_RANK_BINS)
+        bins = rank_histogram(make_records([]), DEFAULT_RANK_BINS)
         assert all(b.count == 0 for b in bins)
         assert len(bins) == len(DEFAULT_RANK_BINS)
 
@@ -241,7 +242,7 @@ class TestRankHistogram:
     def test_edges_validated(self):
         for bad in ([], [2, 3], [1, 1], [1, 5, 4]):
             with pytest.raises(ValidationError):
-                rank_histogram([], bad)
+                rank_histogram(make_records([]), bad)
 
     @given(ranks=st.lists(st.integers(1, 10_000), max_size=300),
            inner=st.lists(st.integers(2, 9_999), max_size=6, unique=True))

@@ -19,9 +19,9 @@ from probe_eval.synthetic import (ExplicitProfile, MixtureProfile,
 class TestExplicitProfile:
     def test_passthrough_in_order(self):
         profile = ExplicitProfile(ranks=(1, 2, 4), popularities=(0, 3, 9))
-        records = generate(profile, 3, seed=0)
-        assert [r.rank for r in records] == [1, 2, 4]
-        assert [r.query.gold_popularity for r in records] == [0, 3, 9]
+        table = generate(profile, 3, seed=0)
+        assert table.ranks.tolist() == [1, 2, 4]
+        assert table.pops.tolist() == [0, 3, 9]
 
     def test_n_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -35,23 +35,32 @@ class TestExplicitProfile:
         with pytest.raises(ValidationError):
             ExplicitProfile(ranks=(0,))
 
+    def test_counts_beyond_int64_rejected(self):
+        """Ranks and popularities are held in int64 columns."""
+        for make in (lambda: ExplicitProfile(ranks=(2 ** 63,)),
+                     lambda: ExplicitProfile(ranks=(1,), popularities=(2 ** 63,)),
+                     lambda: PopularityRule(low=0, high=2 ** 63),
+                     lambda: MixtureProfile(p1=0.5, tail_rate=0.5, n_entities=2 ** 63)):
+            with pytest.raises(ValidationError, match=r"< 2\*\*63"):
+                make()
+
 
 class TestMixtureProfile:
     def test_degenerate_all_rank_one(self):
         profile = MixtureProfile(p1=1.0, tail_rate=0.5, n_entities=100)
-        records = generate(profile, 50, seed=1)
-        assert all(r.rank == 1 for r in records)
+        table = generate(profile, 50, seed=1)
+        assert (table.ranks == 1).all()
 
     def test_rank_one_fraction_concentrates(self):
         profile = MixtureProfile(p1=0.5, tail_rate=0.1, n_entities=1000)
-        records = generate(profile, 10_000, seed=7)
-        fraction = sum(1 for r in records if r.rank == 1) / len(records)
+        table = generate(profile, 10_000, seed=7)
+        fraction = sum(1 for r in table.ranks.tolist() if r == 1) / len(table)
         assert abs(fraction - 0.5) <= 0.02
 
     def test_ranks_stay_in_window(self):
         profile = MixtureProfile(p1=0.2, tail_rate=0.9, n_entities=5)
-        records = generate(profile, 2000, seed=3)
-        assert all(1 <= r.rank <= 5 for r in records)
+        table = generate(profile, 2000, seed=3)
+        assert all(1 <= r <= 5 for r in table.ranks.tolist())
 
     def test_pmf_tail_mass(self):
         profile = MixtureProfile(p1=0.3, tail_rate=0.05, n_entities=500)
@@ -62,8 +71,8 @@ class TestMixtureProfile:
 
     def test_point_tail_at_rate_one(self):
         profile = MixtureProfile(p1=0.5, tail_rate=1.0, n_entities=10)
-        records = generate(profile, 500, seed=5)
-        assert set(r.rank for r in records) <= {1, 2}
+        table = generate(profile, 500, seed=5)
+        assert set(table.ranks.tolist()) <= {1, 2}
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -80,17 +89,17 @@ class TestMixtureProfile:
                 PopularityStratum(rule=PopularityRule(constant=1000), max_rank=1),
                 PopularityStratum(rule=PopularityRule(low=2, high=5)),
             ))
-        records = generate(profile, 1000, seed=11)
-        for rec in records:
-            if rec.rank == 1:
-                assert rec.query.gold_popularity == 1000
+        table = generate(profile, 1000, seed=11)
+        for rank, popularity in zip(table.ranks.tolist(), table.pops.tolist()):
+            if rank == 1:
+                assert popularity == 1000
             else:
-                assert 2 <= rec.query.gold_popularity <= 5
+                assert 2 <= popularity <= 5
 
     def test_default_popularity_is_zero(self):
         profile = MixtureProfile(p1=0.5, tail_rate=0.2, n_entities=50)
-        records = generate(profile, 100, seed=2)
-        assert all(r.query.gold_popularity == 0 for r in records)
+        table = generate(profile, 100, seed=2)
+        assert (table.pops == 0).all()
 
     def test_strata_order_validated(self):
         with pytest.raises(ValidationError):
@@ -110,19 +119,19 @@ class TestDeterminism:
                                          rule=PopularityRule(low=0, high=9)),))
         a = generate(profile, 500, seed=77)
         b = generate(profile, 500, seed=77)
-        assert [(r.rank, r.query.gold_popularity) for r in a] == \
-            [(r.rank, r.query.gold_popularity) for r in b]
+        assert a.ranks.tolist() == b.ranks.tolist()
+        assert a.pops.tolist() == b.pops.tolist()
 
     def test_different_seeds_differ(self):
         profile = MixtureProfile(p1=0.4, tail_rate=0.3, n_entities=200)
         a = generate(profile, 500, seed=1)
         b = generate(profile, 500, seed=2)
-        assert [r.rank for r in a] != [r.rank for r in b]
+        assert a.ranks.tolist() != b.ranks.tolist()
 
     def test_query_labels_align_across_profiles(self):
         sharp = generate(ExplicitProfile(ranks=(1, 100)), 2, seed=0)
         steady = generate(ExplicitProfile(ranks=(2, 2)), 2, seed=9)
-        assert [r.query.key() for r in sharp] == [r.query.key() for r in steady]
+        assert sharp.keys == steady.keys
 
     def test_generate_validates_arguments(self):
         profile = ExplicitProfile(ranks=(1,))
@@ -188,7 +197,7 @@ class TestOracle:
     def test_validations_mirror_probe_score(self):
         cfg = MetricConfig(affine=False)
         with pytest.raises(ValidationError):
-            oracle_probe([], cfg)
+            oracle_probe(make_records([]), cfg)
         with pytest.raises(ValidationError):
             oracle_probe(make_records([20]),
                          MetricConfig(affine=True, entity_count=10))

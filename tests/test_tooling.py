@@ -1,5 +1,6 @@
 """Repository guards: the benchmark's tracer wraps functions that exist in
-the package, and float reductions go through ``metrics.exact_sum``."""
+the package, float reductions go through ``metrics.exact_sum``, and ranked
+queries reach the metrics only as a ``RankTable``."""
 
 from __future__ import annotations
 
@@ -43,5 +44,22 @@ def test_fsum_is_called_only_inside_exact_sum():
             if name == "fsum" and id(node) not in allowed:
                 stray.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and any(a.name == "fsum" for a in node.names):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_rank_record_is_named_only_in_ranking():
+    """RankRecord is rank_of_gold's result; a set of ranked queries is a RankTable,
+    so no other module may build or accept per-record lists."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        if path.name == "ranking.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.value] if isinstance(node, ast.Constant) else [])
+            if "RankRecord" in names:
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
