@@ -19,13 +19,14 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import ParseError, ValidationError
-from .kg_data import KnowledgeGraph, dataset_stats, export_vocabulary, load_dataset
+from .kg_data import (SPLIT_FILES, KnowledgeGraph, dataset_stats, export_vocabulary,
+                      load_dataset)
 from .metrics import (DEFAULT_HITS_KS, MetricConfig, default_bucket_edges,
                       hits_at_k, mr, mrr, probe_score, stratified_breakdown)
 from .ranking import (RankTable, TiePolicy, check_same_queries, load_rank_file,
@@ -35,8 +36,7 @@ from .sweep import (DEFAULT_RANK_BINS, SweepGrid, histogram_export,
 from .synthetic import generate, load_profile
 
 PROG = "probe-eval"
-THREADS_HELP = ("accepted (>= 1) and recorded in any manifest written; "
-                "no command uses threads")
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)  # the layout of every JSON output
 
 logger = logging.getLogger(__name__)
 
@@ -62,8 +62,6 @@ class RunManifest:
     argv: list[str]
     config: dict
     inputs: dict[str, str] = field(default_factory=dict)
-    tool: str = PROG
-    version: str = __version__
 
     def add_input(self, path: str | Path) -> None:
         digest = hashlib.sha256()
@@ -72,16 +70,16 @@ class RunManifest:
                 digest.update(block)
         self.inputs[str(path)] = f"sha256:{digest.hexdigest()}"
 
-    def add_dataset_inputs(self, args) -> None:
-        """Record the three split files when the command read a dataset."""
-        if args.dataset:
-            for name in (args.train_file, args.valid_file, args.test_file):
-                self.add_input(Path(args.dataset) / name)
+    def add_dataset_inputs(self, dataset: str | None) -> None:
+        """Record the split files when the command read a dataset."""
+        if dataset:
+            for name in SPLIT_FILES:
+                self.add_input(Path(dataset) / name)
 
     def write(self, path: str | Path) -> None:
         payload = {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": PROG,
+            "version": __version__,
             "command": self.command,
             "argv": self.argv,
             "config": self.config,
@@ -92,13 +90,14 @@ class RunManifest:
 
 
 def _write_json(payload, path: str | Path) -> None:
+    # streamed: a large sweep's flips.json is never held as one string
     with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.writelines(_JSON.iterencode(payload))
         handle.write("\n")
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _JSON.encode(payload) + "\n"
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -129,22 +128,19 @@ def _parse_model_files(pairs: Sequence[str]) -> dict[str, Path]:
     return models
 
 
-def _dataset_args(parser: _Parser, required: bool = True) -> None:
+def _dataset_arg(parser: _Parser, required: bool) -> None:
     parser.add_argument("--dataset", metavar="DIR", required=required,
-                        help="directory holding the three split files")
-    parser.add_argument("--train-file", default="train.txt", help="train split filename")
-    parser.add_argument("--valid-file", default="valid.txt", help="valid split filename")
-    parser.add_argument("--test-file", default="test.txt", help="test split filename")
+                        help=f"directory holding {', '.join(SPLIT_FILES)}")
 
 
-def _cell_args(parser: _Parser) -> None:
-    parser.add_argument("--alpha", type=float, default=1.0,
-                        help="sharpness control factor (> 0)")
-    parser.add_argument("--beta", type=float, default=0.0,
-                        help="popularity-bias robustness factor (>= 0)")
+def _seed_arg(parser: _Parser, required: bool = False) -> None:
+    parser.add_argument("--seed", type=int, required=required, default=None,
+                        help="random seed: synth's sampler, or rank's random tie policy")
 
 
-def _config_args(parser: _Parser) -> None:
+def _metric_args(parser: _Parser) -> None:
+    """What fixes a metric's configuration apart from its cell: eval, sweep, compare."""
+    _dataset_arg(parser, required=False)
     parser.add_argument("--epsilon", type=float, default=1.0,
                         help="division guard in the popularity weight (> 0)")
     parser.add_argument("--no-affine", action="store_true",
@@ -153,11 +149,29 @@ def _config_args(parser: _Parser) -> None:
                         help="override the entity count (required without --dataset)")
 
 
+def _tie_args(parser: _Parser) -> None:
+    parser.add_argument("--tie", choices=TiePolicy.POLICIES, default="average",
+                        help="tie policy; eval and compare only echo it, "
+                             "since their ranks are precomputed")
+    _seed_arg(parser)
+
+
+def _scoring_args(parser: _Parser) -> None:
+    """One (alpha, beta) score with its baselines and strata: eval, compare."""
+    _metric_args(parser)
+    parser.add_argument("--alpha", type=float, default=1.0,
+                        help="sharpness control factor (> 0)")
+    parser.add_argument("--beta", type=float, default=0.0,
+                        help="popularity-bias robustness factor (>= 0)")
+    _tie_args(parser)
+    parser.add_argument("--hits", default=",".join(map(str, DEFAULT_HITS_KS)),
+                        help="comma-separated Hits@K cutoffs")
+    parser.add_argument("--strata", default="auto",
+                        help="'auto' or comma-separated popularity bucket edges from 0")
+
+
 def _load_dataset_from_args(args) -> tuple[KnowledgeGraph | None, np.ndarray | None]:
-    if not args.dataset:
-        return None, None
-    return load_dataset(args.dataset,
-                        filenames=(args.train_file, args.valid_file, args.test_file))
+    return load_dataset(args.dataset) if args.dataset else (None, None)
 
 
 def _resolve_entity_count(args, graph: KnowledgeGraph | None) -> int | None:
@@ -180,18 +194,10 @@ def _metric_config(args, graph: KnowledgeGraph | None, alpha: float,
                         entity_count=_resolve_entity_count(args, graph))
 
 
-def _tie_policy(args) -> TiePolicy:
-    return TiePolicy(args.tie, seed=args.seed)
-
-
-def _strata_edges(choice: str, tables: Sequence[RankTable],
-                  pop: np.ndarray | None) -> list[int]:
+def _strata_edges(choice: str, pop: np.ndarray | None) -> list[int]:
     if choice == "auto":
-        if pop is not None:
-            delta_max = int(pop.max(initial=0))
-        else:
-            delta_max = max(int(table.pops.max()) for table in tables)
-        return default_bucket_edges(delta_max)
+        # without a dataset every gold popularity is 0
+        return default_bucket_edges(0 if pop is None else int(pop.max(initial=0)))
     return list(_parse_ints(choice, "--strata"))
 
 
@@ -215,6 +221,34 @@ def _load_ranks(path: str | Path, graph: KnowledgeGraph | None,
     return table
 
 
+def _echo_config(config: MetricConfig, args) -> dict:
+    # no execution details here (e.g. --threads): data outputs must be
+    # byte-identical across thread counts; the manifest carries those
+    echoed = config.to_json_dict()
+    echoed["tie"] = args.tie  # provenance only: ranks are precomputed
+    if args.seed is not None:
+        echoed["seed"] = args.seed
+    return echoed
+
+
+def _score_models(args, model_files: Mapping[str, str | Path]
+                  ) -> tuple[dict, tuple[int, ...], dict[str, dict]]:
+    """Score each rank file at (--alpha, --beta), with baselines and strata.
+
+    Returns the echoed configuration, the Hits@K cutoffs and each model's
+    metrics.  The models must rank the same queries, and they share one
+    bucket scheme so that their per-stratum rows align.
+    """
+    graph, pop = _load_dataset_from_args(args)
+    config = _metric_config(args, graph, args.alpha, args.beta)
+    hits_ks = _parse_ints(args.hits, "--hits")
+    tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
+    check_same_queries(tables)
+    edges = _strata_edges(args.strata, pop)
+    return _echo_config(config, args), hits_ks, {
+        name: _eval_metrics(table, config, hits_ks, edges) for name, table in tables.items()}
+
+
 def _metrics_csv(payload: dict) -> str:
     lines = ["metric,key,value"]
     for name in ("probe", "mr", "mrr"):
@@ -234,7 +268,7 @@ def _metrics_csv(payload: dict) -> str:
 
 
 def _cmd_stats(args, argv: list[str]) -> int:
-    graph, pop = _load_dataset_from_args(args)
+    graph, pop = load_dataset(args.dataset)
     stats = dataset_stats(graph, pop)
     if args.export_vocab:
         export_vocabulary(graph, args.export_vocab)
@@ -243,7 +277,7 @@ def _cmd_stats(args, argv: list[str]) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         manifest = RunManifest("stats", argv, config={"format": args.format})
-        manifest.add_dataset_inputs(args)
+        manifest.add_dataset_inputs(args.dataset)
         manifest.write(f"{args.out}.manifest.json")
     else:
         sys.stdout.write(text)
@@ -251,8 +285,8 @@ def _cmd_stats(args, argv: list[str]) -> int:
 
 
 def _cmd_rank(args, argv: list[str]) -> int:
-    graph, pop = _load_dataset_from_args(args)
-    tie = _tie_policy(args)
+    graph, pop = load_dataset(args.dataset)
+    tie = TiePolicy(args.tie, seed=args.seed)
     table = rank_score_file(args.scores, graph, pop, tie, raw=args.raw,
                             allow_partial=args.allow_partial)
     write_rank_file(table, args.out)
@@ -260,37 +294,21 @@ def _cmd_rank(args, argv: list[str]) -> int:
         "tie": tie.policy, "seed": tie.seed, "raw": args.raw, "threads": args.threads,
     })
     manifest.add_input(args.scores)
-    manifest.add_dataset_inputs(args)
+    manifest.add_dataset_inputs(args.dataset)
     manifest.write(f"{args.out}.manifest.json")
     return 0
 
 
-def _echo_config(config: MetricConfig, args) -> dict:
-    # no execution details here (e.g. --threads): data outputs must be
-    # byte-identical across thread counts; the manifest carries those
-    echoed = config.to_json_dict()
-    echoed["tie"] = args.tie  # provenance only: ranks are precomputed
-    if args.seed is not None:
-        echoed["seed"] = args.seed
-    return echoed
-
-
 def _cmd_eval(args, argv: list[str]) -> int:
-    graph, pop = _load_dataset_from_args(args)
-    table = _load_ranks(args.ranks, graph, pop)
-    config = _metric_config(args, graph, args.alpha, args.beta)
-    hits_ks = _parse_ints(args.hits, "--hits")
-    edges = _strata_edges(args.strata, [table], pop)
-    payload = _eval_metrics(table, config, hits_ks, edges)
-    payload["config"] = _echo_config(config, args)
+    config, _, per_model = _score_models(args, {"model": args.ranks})
+    payload = {**per_model["model"], "config": config}
 
     text = (_metrics_csv(payload) if args.format == "csv" else _dump_json(payload))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        manifest = RunManifest("eval", argv, config={
-            **payload["config"], "threads": args.threads})
+        manifest = RunManifest("eval", argv, config={**config, "threads": args.threads})
         manifest.add_input(args.ranks)
-        manifest.add_dataset_inputs(args)
+        manifest.add_dataset_inputs(args.dataset)
         manifest.write(f"{args.out}.manifest.json")
     else:
         sys.stdout.write(text)
@@ -332,7 +350,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     })
     for path in model_files.values():
         manifest.add_input(path)
-    manifest.add_dataset_inputs(args)
+    manifest.add_dataset_inputs(args.dataset)
     manifest.write(out_dir / "manifest.json")
     return 0
 
@@ -341,19 +359,10 @@ def _cmd_compare(args, argv: list[str]) -> int:
     model_files = _parse_model_files(args.ranks)
     if len(model_files) != 2:
         raise ValidationError(f"compare needs exactly 2 models, got {len(model_files)}")
-    graph, pop = _load_dataset_from_args(args)
-    config = _metric_config(args, graph, args.alpha, args.beta)
-    hits_ks = _parse_ints(args.hits, "--hits")
-
-    tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
-    check_same_queries(tables)
-    # one shared bucket scheme so the per-stratum rows align across models
-    edges = _strata_edges(args.strata, list(tables.values()), pop)
-    per_model = {name: _eval_metrics(table, config, hits_ks, edges)
-                 for name, table in tables.items()}
+    config, hits_ks, per_model = _score_models(args, model_files)
 
     if args.format == "json":
-        payload = {"config": _echo_config(config, args), "models": per_model}
+        payload = {"config": config, "models": per_model}
         sys.stdout.write(_dump_json(payload))
         return 0
 
@@ -406,7 +415,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("stats", help="dataset statistics")
-    _dataset_args(p)
+    _dataset_arg(p, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--export-vocab", metavar="FILE",
                    help="also write the entity vocabulary as label<TAB>id")
@@ -416,67 +425,51 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rank", help="rank a score file into a rank file")
     p.add_argument("--scores", required=True, metavar="FILE",
                    help="JSON-lines score rows over the exported entity order")
-    _dataset_args(p)
-    p.add_argument("--tie", choices=TiePolicy.POLICIES, default="average")
-    p.add_argument("--seed", type=int, default=None)
+    _dataset_arg(p, required=True)
+    _tie_args(p)
     p.add_argument("--raw", action="store_true",
                    help="rank against all candidates (disable the filtered protocol)")
     p.add_argument("--allow-partial", action="store_true",
                    help="permit score files that do not cover every test query")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("eval", help="score a rank file")
     p.add_argument("--ranks", required=True, metavar="FILE")
-    _dataset_args(p, required=False)
-    _cell_args(p)
-    _config_args(p)
-    p.add_argument("--tie", choices=TiePolicy.POLICIES, default="average",
-                   help="echoed for provenance; ranks are precomputed")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--hits", default=",".join(map(str, DEFAULT_HITS_KS)),
-                   help="comma-separated Hits@K cutoffs")
-    p.add_argument("--strata", default="auto",
-                   help="'auto' or comma-separated popularity bucket edges from 0")
+    _scoring_args(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="evaluate models over an (alpha, beta) grid")
     p.add_argument("--ranks", required=True, nargs="+", metavar="NAME=FILE")
-    _dataset_args(p, required=False)
-    _config_args(p)
+    _metric_args(p)
     p.add_argument("--alphas", default="0.25,0.5,1,2")
     p.add_argument("--betas", default="0,0.2,0.4,0.8")
     p.add_argument("--base", default="1,0", help="reference cell alpha,beta")
     p.add_argument("--bins", default=None,
                    help="comma-separated rank histogram edges starting at 1")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="two models, one cell, per-metric table")
     p.add_argument("--ranks", required=True, nargs="+", metavar="NAME=FILE")
-    _dataset_args(p, required=False)
-    _cell_args(p)
-    _config_args(p)
-    p.add_argument("--tie", choices=TiePolicy.POLICIES, default="average")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--hits", default=",".join(map(str, DEFAULT_HITS_KS)))
-    p.add_argument("--strata", default="auto")
+    _scoring_args(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("synth", help="generate a synthetic rank file from a profile")
     p.add_argument("--profile", required=True, metavar="FILE")
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
+    _seed_arg(p, required=True)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_synth)
 
+    for name in ("rank", "eval", "sweep", "compare"):
+        sub.choices[name].add_argument(
+            "--threads", type=int, default=1,
+            help="accepted (>= 1) and recorded in any manifest written; "
+                 "no command uses threads")
     return parser
 
 

@@ -13,22 +13,21 @@ from typing import Iterator, TextIO
 
 
 class ValidationError(ValueError):
-    """Invalid input data, configuration, or argument."""
+    """Invalid input data, configuration, or argument.
+
+    Given a path (and a line), the message is prefixed ``path:line: ``.
+    """
+
+    def __init__(self, message: str, path: str | Path | None = None,
+                 line: int | None = None):
+        if path is not None:
+            loc = f"{path}:" if line is None else f"{path}:{line}:"
+            message = f"{loc} {message}"
+        super().__init__(message)
 
 
 class ParseError(ValidationError):
-    """Malformed file content; carries the offending location."""
-
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-            if line is not None:
-                loc += f"{line}:"
-            loc += " "
-        super().__init__(f"{loc}{message}")
-        self.path = path
-        self.line = line
+    """Malformed file content."""
 
 
 @contextlib.contextmanager

@@ -20,6 +20,8 @@ logger = logging.getLogger(__name__)
 
 Labels = tuple[str, str, str]  # (head, relation, tail)
 
+SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")  # a dataset directory's layout
+
 
 def load_split(path: str | Path) -> list[Labels]:
     """Parse one triple file into (head, relation, tail) label tuples.
@@ -182,12 +184,10 @@ def dataset_stats(graph: KnowledgeGraph, pop: np.ndarray) -> DatasetStats:
     )
 
 
-def load_dataset(directory: str | Path,
-                 filenames: Sequence[str] = ("train.txt", "valid.txt", "test.txt"),
-                 ) -> tuple[KnowledgeGraph, np.ndarray]:
-    """Load the community train/valid/test layout and count popularity."""
+def load_dataset(directory: str | Path) -> tuple[KnowledgeGraph, np.ndarray]:
+    """Load a directory's SPLIT_FILES (train, valid, test) and count popularity."""
     directory = Path(directory)
-    graph = build_graph(*(load_split(directory / fname) for fname in filenames))
+    graph = build_graph(*(load_split(directory / name) for name in SPLIT_FILES))
     return graph, compute_popularity(graph)
 
 

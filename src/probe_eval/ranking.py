@@ -32,6 +32,12 @@ class Direction(str, enum.Enum):
     TAIL = "tail"
 
 
+# Plain strings, so a membership test reads no enum descriptor; a tuple, not a
+# set, because a score row's direction may be an unhashable JSON value.
+_DIRECTIONS = (Direction.HEAD.value, Direction.TAIL.value)
+_DIRECTION_ERROR = "direction must be 'head' or 'tail', got {!r}"
+
+
 @dataclass(frozen=True)
 class Query:
     """One masked test triple, identified by labels; ids resolved when known.
@@ -287,23 +293,22 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
                 raise ParseError(f"expected 5 tab-separated fields, got {len(parts)}",
                                  path=str(path), line=lineno)
             head, relation, tail, direction, rank_text = (p.strip() for p in parts)
-            if direction not in (Direction.HEAD.value, Direction.TAIL.value):
-                raise ParseError(f"direction must be 'head' or 'tail', got {direction!r}",
-                                 path=str(path), line=lineno)
+            if direction not in _DIRECTIONS:
+                raise ParseError(_DIRECTION_ERROR.format(direction), path=path, line=lineno)
             # int() alone would also read "1_0", "+2" and non-ASCII digits
             if not (rank_text.isascii() and rank_text.isdigit()):
                 raise ParseError(f"rank is not an integer: {rank_text!r}",
                                  path=str(path), line=lineno)
             rank = int(rank_text)
             if not 1 <= rank < 2 ** 63:  # ranks are held as int64
-                raise ValidationError(
-                    f"{path}:{lineno}: rank must be >= 1 and < 2**63, got {rank}")
+                raise ValidationError(f"rank must be >= 1 and < 2**63, got {rank}",
+                                      path=path, line=lineno)
             key = f"{head}\t{relation}\t{tail}\t{direction}"
             first = first_line.setdefault(key, lineno)
             if first != lineno:
                 raise ValidationError(
-                    f"{path}:{lineno}: duplicate query {(head, relation, tail, direction)} "
-                    f"repeats line {first}")
+                    f"duplicate query {(head, relation, tail, direction)} repeats line {first}",
+                    path=path, line=lineno)
             keys.append(key)
             ranks.append(rank)
             if entity_ids is not None:
@@ -355,13 +360,12 @@ def iter_score_rows(path: str | Path,
                 raise ParseError(
                     "score row needs head, relation, tail, direction, scores",
                     path=str(path), line=lineno) from None
-            if direction not in (Direction.HEAD.value, Direction.TAIL.value):
-                raise ParseError(f"direction must be 'head' or 'tail', got {direction!r}",
-                                 path=str(path), line=lineno)
+            if direction not in _DIRECTIONS:
+                raise ParseError(_DIRECTION_ERROR.format(direction), path=path, line=lineno)
             if min(hid, rid, tid) < 0:
                 raise ValidationError(
-                    f"{path}:{lineno}: triple ({head}, {relation}, {tail}) "
-                    "references labels outside the dataset vocabulary")
+                    f"triple ({head}, {relation}, {tail}) references labels outside "
+                    "the dataset vocabulary", path=path, line=lineno)
             try:
                 vector = np.asarray(scores, dtype=np.float64)
             except (TypeError, ValueError, OverflowError):
@@ -369,8 +373,8 @@ def iter_score_rows(path: str | Path,
                                  path=str(path), line=lineno) from None
             if vector.ndim != 1 or len(vector) != graph.n_entities:
                 raise ValidationError(
-                    f"{path}:{lineno}: scores length {vector.size} != "
-                    f"entity count {graph.n_entities}")
+                    f"scores length {vector.size} != entity count {graph.n_entities}",
+                    path=path, line=lineno)
             yield lineno, ScoreRow(
                 query=Query(head, relation, tail, Direction(direction),
                             head_id=hid, relation_id=rid, tail_id=tid),
@@ -394,16 +398,16 @@ def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
     for lineno, row in iter_score_rows(path, graph):
         idx = by_key.get("\t".join(row.query.key()))
         if idx is None:
-            raise ValidationError(f"{path}:{lineno}: score row {row.query.key()} "
-                                  "does not match any test query")
+            raise ValidationError(f"score row {row.query.key()} does not match any "
+                                  "test query", path=path, line=lineno)
         if ranks[idx]:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate score row for query {row.query.key()}")
+            raise ValidationError(f"duplicate score row for query {row.query.key()}",
+                                  path=path, line=lineno)
         excluded = () if raw else filter_set(row.query, graph)
         try:
             ranks[idx] = rank_of_gold(row, excluded, tie).rank
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            raise ValidationError(str(exc), path=path, line=lineno) from None
 
     seen = np.flatnonzero(ranks)
     if not allow_partial and len(seen) != len(queries):

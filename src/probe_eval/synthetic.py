@@ -182,7 +182,7 @@ def load_profile(path: str | Path) -> RankProfile:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid profile JSON: {exc.msg}") from None
+            raise ValidationError(f"invalid profile JSON: {exc.msg}", path=path) from None
     return profile_from_dict(data)
 
 

@@ -177,6 +177,11 @@ class TestEval:
         assert err.startswith("error[io]:")
         assert "missing.tsv" in err
 
+    def test_arguments_checked_before_rank_file_is_read(self, capsys):
+        assert run_cli("eval", "--ranks", "missing.tsv", "--entities", "1") == 1
+        assert single_error_line(capsys, "validation").endswith(
+            "--entities must be >= 2, got 1")
+
     def test_csv_format(self, toy_dataset, rankfile, capsys):
         assert run_cli("eval", "--ranks", str(rankfile),
                        "--dataset", str(toy_dataset), "--format", "csv") == 0
@@ -310,6 +315,27 @@ class TestCompare:
             "model 'one' has 1 records but 'full' has 4")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("source", ["dataset", "entities"])
+    def test_model_blocks_equal_eval_output(self, toy_dataset, rankfile, tmp_path,
+                                            capsys, source):
+        """eval and compare score through one path: each model's block is
+        that file's eval JSON, and the echoed config is eval's."""
+        other = tmp_path / "other.tsv"
+        other.write_text("a\tr2\tc\ttail\t1\nd\tr1\tb\thead\t2\n"
+                         "a\tr2\tc\thead\t4\nd\tr1\tb\ttail\t3\n", encoding="utf-8")
+        flags = (["--dataset", str(toy_dataset)] if source == "dataset"
+                 else ["--entities", "10"]) + ["--beta", "0.4", "--hits", "1,3"]
+        evals = {}
+        for name, path in (("a", rankfile), ("b", other)):
+            assert run_cli("eval", "--ranks", str(path), *flags) == 0
+            evals[name] = json.loads(capsys.readouterr().out)
+        configs = [evals[name].pop("config") for name in ("a", "b")]
+        assert run_cli("compare", "--ranks", f"a={rankfile}", f"b={other}", *flags,
+                       "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["models"] == evals
+        assert payload["config"] == configs[0] == configs[1]
+
     def test_other_queries_rejected(self, rankfile, tmp_path, capsys):
         other = tmp_path / "other.tsv"
         other.write_text(rankfile.read_text(encoding="utf-8").replace("d\tr1", "x\tr1"),
@@ -379,6 +405,13 @@ class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert run_cli("transmogrify") == 1
 
+    @pytest.mark.parametrize("flag", ["--train-file", "--valid-file", "--test-file"])
+    def test_split_file_names_are_not_options(self, toy_dataset, capsys, flag):
+        """A dataset directory always holds train.txt, valid.txt and test.txt."""
+        assert run_cli("stats", "--dataset", str(toy_dataset), flag, "train.txt") == 1
+        err = capsys.readouterr().err
+        assert f"error[usage]: unrecognized arguments: {flag} train.txt" in err
+
     def test_threads_validated(self, toy_dataset, rankfile, capsys):
         assert run_cli("eval", "--ranks", str(rankfile),
                        "--dataset", str(toy_dataset), "--threads", "0") == 1
@@ -441,8 +474,55 @@ class TestManifestDigest:
                 assert digest == "sha256:" + hashlib.sha256(handle.read()).hexdigest()
 
 
+def _score_line(head="d", direction="head", scores=(0.1, 0.2, 0.3, 0.4)) -> str:
+    return json.dumps({"head": head, "relation": "r1", "tail": "b",
+                       "direction": direction, "scores": list(scores)})
+
+
+# case: (command, input lines, error category, the error line after its path)
+LOCATED_ERRORS = {
+    "score-vocabulary": ("rank", [_score_line(), _score_line(head="zz")], "validation",
+                         ":2: triple (zz, r1, b) references labels outside the "
+                         "dataset vocabulary"),
+    "score-length": ("rank", [_score_line(scores=(0.1, 0.2, 0.3))], "validation",
+                     ":1: scores length 3 != entity count 4"),
+    "score-not-a-query": ("rank", [_score_line(head="c", direction="tail")], "validation",
+                          ":1: score row ('c', 'r1', 'b', 'tail') does not match any "
+                          "test query"),
+    "score-duplicate": ("rank", [_score_line(), _score_line()], "validation",
+                        ":2: duplicate score row for query ('d', 'r1', 'b', 'head')"),
+    "score-non-finite": ("rank", [_score_line(scores=(0.1, 0.2, 0.3, math.nan))],
+                         "validation", ":1: non-finite score in row for query "
+                         "('d', 'r1', 'b', 'head')"),
+    "score-direction": ("rank", [_score_line(direction="Tail")], "parse",
+                        ":1: direction must be 'head' or 'tail', got 'Tail'"),
+    "rank-direction": ("eval", ["d\tr1\tb\tHead\t1"], "parse",
+                       ":1: direction must be 'head' or 'tail', got 'Head'"),
+    "rank-range": ("eval", ["d\tr1\tb\thead\t0"], "validation",
+                   ":1: rank must be >= 1 and < 2**63, got 0"),
+    "rank-duplicate": ("eval", ["d\tr1\tb\thead\t1", "d\tr1\tb\thead\t2"], "validation",
+                       ":2: duplicate query ('d', 'r1', 'b', 'head') repeats line 1"),
+    "profile-json": ("synth", ["{bad"], "validation", ": invalid profile JSON: Expecting "
+                     "property name enclosed in double quotes"),
+}
+
+
 class TestHostileInputs:
     """Bad input gives exit 1 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(LOCATED_ERRORS))
+    def test_file_error_names_its_location(self, toy_dataset, tmp_path, capsys, case):
+        command, lines, category, located = LOCATED_ERRORS[case]
+        path = tmp_path / "input"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = str(tmp_path / "out.tsv")
+        argv = {
+            "rank": ["--scores", str(path), "--dataset", str(toy_dataset), "--out", out],
+            "eval": ["--ranks", str(path), "--entities", "10"],
+            "synth": ["--profile", str(path), "--n", "1", "--seed", "0", "--out", out],
+        }[command]
+        assert run_cli(command, *argv) == 1
+        assert single_error_line(capsys, category) == f"error[{category}]: {path}{located}"
 
     def test_duplicate_rank_line_rejected_by_eval(self, rankfile, tmp_path, capsys):
         rankfile.write_text(rankfile.read_text() + "d\tr1\tb\thead\t3\n", encoding="utf-8")
@@ -694,6 +774,81 @@ def test_fuzzed_rank_file_keeps_the_cli_contract(fuzz_dir, data):
         texts.append(stdout.getvalue())
     for text in texts:
         json.loads(text, parse_constant=_reject_constant)
+
+
+TOY_SPLITS = {"train.txt": [b"a\tr1\tb", b"a\tr1\tc", b"b\tr2\tc", b"c\tr1\tb"],
+              "valid.txt": [b"a\tr2\tb"],
+              "test.txt": [b"d\tr1\tb", b"a\tr2\tc"]}
+HARMLESS_SPLIT_EDITS = {"bom", "crlf", "duplicate", "blank"}
+
+
+def _mutate_splits(splits: dict, data) -> tuple[dict, str]:
+    """One hostile edit of one split file (None: deleted), drawn by Hypothesis."""
+    kind = data.draw(st.sampled_from([
+        "truncate", "fields", "whitespace", "0xff", "bom", "crlf", "duplicate", "blank",
+        "delete"]))
+    name = data.draw(st.sampled_from(sorted(splits)))
+    lines = splits[name]
+    if lines is None:
+        return splits, kind
+    lines = list(lines)
+    if kind == "delete":
+        lines = None
+    elif kind == "blank":
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from([b"", b"  ", b"\t"])))
+    elif kind == "bom":
+        lines[0:1] = [b"\xef\xbb\xbf" + (lines[0] if lines else b"")]
+    elif lines:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(b"\t")
+        if kind == "truncate":
+            lines[i] = lines[i][:data.draw(st.integers(0, max(0, len(lines[i]) - 1)))]
+        elif kind == "fields":
+            lines[i] = b"\t".join(fields[:-1] if data.draw(st.booleans()) else fields + [b"x"])
+        elif kind == "whitespace":
+            fields[data.draw(st.integers(0, len(fields) - 1))] = b" "
+            lines[i] = b"\t".join(fields)
+        elif kind == "0xff":
+            at = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + b"\xff" + lines[i][at:]
+        elif kind == "crlf":
+            lines[i] += b"\r"
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+    return {**splits, name: lines}, kind
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_triple_files_keep_the_stats_contract(fuzz_dir, data):
+    """Exit 0, 1 or 2; no error[...] line on success, exactly one otherwise;
+    strict JSON on stdout.  A duplicate-triple warning may appear."""
+    splits, kinds = TOY_SPLITS, []
+    for _ in range(data.draw(st.integers(1, 3))):
+        splits, kind = _mutate_splits(splits, data)
+        kinds.append(kind)
+    dataset = fuzz_dir / "stats-ds"
+    dataset.mkdir(exist_ok=True)
+    for name, lines in splits.items():
+        (dataset / name).unlink(missing_ok=True)
+        if lines is not None:
+            (dataset / name).write_bytes(b"".join(line + b"\n" for line in lines))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = dispatch(["stats", "--dataset", str(dataset)])
+    err = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    errors = [line for line in err if line.startswith("error[")]
+    assert len(errors) == (code != 0), err
+    assert all("duplicate triple" in line for line in err if line not in errors), err
+    if code == 0:
+        json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert stdout.getvalue() == ""
+    if len(kinds) == 1 and kinds[0] in HARMLESS_SPLIT_EDITS:
+        assert code == 0, (kinds, err)
 
 
 def _hostile(data):

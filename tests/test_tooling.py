@@ -1,13 +1,17 @@
 """Repository guards: the benchmark's tracer wraps functions that exist in
-the package, float reductions go through ``metrics.exact_sum``, and ranked
-queries reach the metrics only as a ``RankTable``."""
+the package, float reductions go through ``metrics.exact_sum``, ranked
+queries reach the metrics only as a ``RankTable``, and the command-line
+options are pinned."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+from probe_eval.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,3 +67,35 @@ def test_rank_record_is_named_only_in_ranking():
             if "RankRecord" in names:
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
+
+
+# Every option string of each subcommand ("" is the top-level parser), -h aside.
+CLI_OPTIONS = {
+    "": {"--version"},
+    "stats": {"--dataset", "--format", "--export-vocab", "--out"},
+    "rank": {"--scores", "--dataset", "--tie", "--seed", "--raw", "--allow-partial",
+             "--out", "--threads"},
+    "eval": {"--ranks", "--dataset", "--epsilon", "--no-affine", "--entities", "--alpha",
+             "--beta", "--tie", "--seed", "--hits", "--strata", "--format", "--out",
+             "--threads"},
+    "sweep": {"--ranks", "--dataset", "--epsilon", "--no-affine", "--entities", "--alphas",
+              "--betas", "--base", "--bins", "--out", "--threads"},
+    "compare": {"--ranks", "--dataset", "--epsilon", "--no-affine", "--entities", "--alpha",
+                "--beta", "--tie", "--seed", "--hits", "--strata", "--format", "--threads"},
+    "synth": {"--profile", "--n", "--seed", "--out"},
+}
+
+
+def test_cli_options_are_pinned():
+    """An added or removed flag changes the command-line contract: it must
+    show up here, in review, not only in --help."""
+    def options(parser):
+        return {option for action in parser._actions for option in action.option_strings
+                if option not in ("-h", "--help")}
+
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    found = {"": options(parser)}
+    found.update((name, options(sub)) for name, sub in subparsers.choices.items())
+    assert found == CLI_OPTIONS
