@@ -38,9 +38,6 @@ from .synthetic import generate, load_profile
 PROG = "probe-eval"
 _JSON = json.JSONEncoder(indent=2, sort_keys=True)  # the layout of every JSON output
 
-logger = logging.getLogger(__name__)
-
-
 class _UsageError(ValidationError):
     """Bad command line; prints usage before the error line."""
 
@@ -149,13 +146,6 @@ def _metric_args(parser: _Parser) -> None:
                         help="override the entity count (required without --dataset)")
 
 
-def _tie_args(parser: _Parser) -> None:
-    parser.add_argument("--tie", choices=TiePolicy.POLICIES, default="average",
-                        help="tie policy; eval and compare only echo it, "
-                             "since their ranks are precomputed")
-    _seed_arg(parser)
-
-
 def _scoring_args(parser: _Parser) -> None:
     """One (alpha, beta) score with its baselines and strata: eval, compare."""
     _metric_args(parser)
@@ -163,7 +153,6 @@ def _scoring_args(parser: _Parser) -> None:
                         help="sharpness control factor (> 0)")
     parser.add_argument("--beta", type=float, default=0.0,
                         help="popularity-bias robustness factor (>= 0)")
-    _tie_args(parser)
     parser.add_argument("--hits", default=",".join(map(str, DEFAULT_HITS_KS)),
                         help="comma-separated Hits@K cutoffs")
     parser.add_argument("--strata", default="auto",
@@ -221,23 +210,15 @@ def _load_ranks(path: str | Path, graph: KnowledgeGraph | None,
     return table
 
 
-def _echo_config(config: MetricConfig, args) -> dict:
-    # no execution details here (e.g. --threads): data outputs must be
-    # byte-identical across thread counts; the manifest carries those
-    echoed = config.to_json_dict()
-    echoed["tie"] = args.tie  # provenance only: ranks are precomputed
-    if args.seed is not None:
-        echoed["seed"] = args.seed
-    return echoed
-
-
 def _score_models(args, model_files: Mapping[str, str | Path]
                   ) -> tuple[dict, tuple[int, ...], dict[str, dict]]:
     """Score each rank file at (--alpha, --beta), with baselines and strata.
 
-    Returns the echoed configuration, the Hits@K cutoffs and each model's
-    metrics.  The models must rank the same queries, and they share one
-    bucket scheme so that their per-stratum rows align.
+    Returns the configuration to echo in data outputs, the Hits@K cutoffs
+    and each model's metrics.  The echo holds no execution details such as
+    --threads, so data outputs are byte-identical across thread counts; the
+    manifest records those.  The models must rank the same queries, and
+    they share one bucket scheme so that their per-stratum rows align.
     """
     graph, pop = _load_dataset_from_args(args)
     config = _metric_config(args, graph, args.alpha, args.beta)
@@ -245,7 +226,7 @@ def _score_models(args, model_files: Mapping[str, str | Path]
     tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
     check_same_queries(tables)
     edges = _strata_edges(args.strata, pop)
-    return _echo_config(config, args), hits_ks, {
+    return config.to_json_dict(), hits_ks, {
         name: _eval_metrics(table, config, hits_ks, edges) for name, table in tables.items()}
 
 
@@ -426,7 +407,9 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", required=True, metavar="FILE",
                    help="JSON-lines score rows over the exported entity order")
     _dataset_arg(p, required=True)
-    _tie_args(p)
+    p.add_argument("--tie", choices=TiePolicy.POLICIES, default="average",
+                   help="how a gold entity tied with other candidates is ranked")
+    _seed_arg(p)
     p.add_argument("--raw", action="store_true",
                    help="rank against all candidates (disable the filtered protocol)")
     p.add_argument("--allow-partial", action="store_true",
@@ -476,7 +459,12 @@ def build_parser() -> _Parser:
 def dispatch(argv: Sequence[str]) -> int:
     """Route argv to a subcommand; map failures to exit codes."""
     argv = list(argv)
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    # warnings go to this call's stderr, which a host may have redirected
+    # since an earlier call; the host's own logging setup is left alone
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    package_logger = logging.getLogger(__package__)
+    package_logger.addHandler(handler)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -505,6 +493,8 @@ def dispatch(argv: Sequence[str]) -> int:
     except OSError as exc:
         sys.stderr.write(f"error[io]: {exc}\n")
         return 2
+    finally:
+        package_logger.removeHandler(handler)
 
 
 def main() -> None:

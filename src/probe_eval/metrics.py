@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,27 +116,7 @@ def weight(delta: int, beta: float, epsilon: float) -> float:
     return (epsilon + delta) ** -beta
 
 
-def transform_ranks(ranks: np.ndarray, config: MetricConfig) -> np.ndarray:
-    """Vectorized rank transform under the config's mode.
-
-    Aggregated scoring requires alpha > 0 in both modes; use rt_raw
-    directly for the degenerate negative-alpha forms.
-    """
-    if config.alpha <= 0:
-        raise ValidationError(f"scoring requires alpha > 0, got {config.alpha}")
-    if len(ranks) and int(ranks.min()) < 1:
-        raise ValidationError(f"ranks must be >= 1, got {int(ranks.min())}")
-    if config.affine:
-        n = config.entity_count
-        if len(ranks) and int(ranks.max()) > n:
-            raise ValidationError(
-                f"rank {int(ranks.max())} exceeds entity_count {n} in affine mode")
-        denom = _affine_denominator(config.alpha, n)
-        return (np.power(ranks.astype(np.float64), -config.alpha) - 1.0) / denom + 1.0
-    return np.power(ranks.astype(np.float64), -config.alpha)
-
-
-def popularity_weights(pops: np.ndarray, config: MetricConfig) -> np.ndarray:
+def popularity_weights(pops: np.ndarray, beta: float, epsilon: float) -> np.ndarray:
     """Popularity weights scaled so the largest is exactly 1.
 
     Computed in log space, w_i = exp(-beta * (log(eps + d_i) - min_j log(eps + d_j))),
@@ -144,8 +124,8 @@ def popularity_weights(pops: np.ndarray, config: MetricConfig) -> np.ndarray:
     """
     if len(pops) and int(pops.min()) < 0:
         raise ValidationError("popularities must be >= 0")
-    logs = np.log(config.epsilon + pops.astype(np.float64))
-    return np.exp(-config.beta * (logs - logs.min()))
+    logs = np.log(epsilon + pops.astype(np.float64))
+    return np.exp(-beta * (logs - logs.min()))
 
 
 _SPLIT_BITS = 27
@@ -189,19 +169,45 @@ def _nonempty(table: RankTable, empty_message: str) -> RankTable:
     return table
 
 
+def score_grid(ranks: np.ndarray, pops: np.ndarray, config: MetricConfig,
+               alphas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+    """PROBE scores of one set of ranked queries at every (alpha, beta) cell.
+
+    Entry [i, j] is the weighted mean of the transformed ranks at
+    (alphas[i], betas[j]); only config's epsilon, affine and entity_count
+    are read.  beta sets only the weights and alpha only the transform, so
+    each beta's weights and their sum are computed once, and each cell is
+    one transform, one product and one exact_sum.  Every alpha must be > 0.
+    """
+    if len(ranks) and int(ranks.min()) < 1:
+        raise ValidationError(f"ranks must be >= 1, got {int(ranks.min())}")
+    if config.affine:
+        n = config.entity_count
+        if len(ranks) and int(ranks.max()) > n:
+            raise ValidationError(
+                f"rank {int(ranks.max())} exceeds entity_count {n} in affine mode")
+        denoms = [_affine_denominator(alpha, n) for alpha in alphas]
+    values = ranks.astype(np.float64)
+    grid = np.empty((len(alphas), len(betas)))
+    for j, beta in enumerate(betas):
+        weights = popularity_weights(pops, beta, config.epsilon)
+        total = exact_sum(weights)
+        for i, alpha in enumerate(alphas):
+            scores = np.power(values, -alpha)
+            if config.affine:
+                scores = (scores - 1.0) / denoms[i] + 1.0
+            grid[i, j] = exact_sum(weights * scores) / total
+    return grid
+
+
 def probe_score(table: RankTable, config: MetricConfig) -> float:
     """Transform each record's rank, weight it by gold popularity, aggregate.
 
     Deterministic regardless of record order.
     """
     _nonempty(table, "cannot score an empty record list")
-    return _probe_from_arrays(table.ranks, table.pops, config)
-
-
-def _probe_from_arrays(ranks: np.ndarray, pops: np.ndarray,
-                       config: MetricConfig) -> float:
-    weights = popularity_weights(pops, config)
-    return exact_sum(weights * transform_ranks(ranks, config)) / exact_sum(weights)
+    return float(score_grid(table.ranks, table.pops, config,
+                            (config.alpha,), (config.beta,))[0, 0])
 
 
 def mr(table: RankTable) -> float:
@@ -246,6 +252,23 @@ def default_bucket_edges(delta_max: int) -> list[int]:
     return edges
 
 
+def bucket_masks(values: np.ndarray, edges: Sequence[int], first: int,
+                 what: str) -> Iterator[tuple[int, int | None, np.ndarray]]:
+    """Yield (lo, hi, mask) for the half-open buckets [e0,e1), ..., [e_last, inf).
+
+    hi is None for the last bucket.  The edges must start at `first` and
+    ascend strictly; `what` names them in the error.
+    """
+    edges = list(edges)
+    if not edges or edges[0] != first:
+        raise ValidationError(f"{what} must start at {first}, got {edges[:1]}")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValidationError(f"{what} must be strictly ascending, got {edges}")
+    bucket = np.searchsorted(edges, values, side="right") - 1
+    for i, lo in enumerate(edges):
+        yield lo, edges[i + 1] if i + 1 < len(edges) else None, bucket == i
+
+
 def stratified_breakdown(table: RankTable, bucket_edges: Sequence[int],
                          config: MetricConfig) -> list[Stratum]:
     """Per-popularity-bucket record counts and scores.
@@ -255,20 +278,10 @@ def stratified_breakdown(table: RankTable, bucket_edges: Sequence[int],
     raw per-group accuracy rather than re-weighted values.  Empty buckets
     report score None.
     """
-    edges = list(bucket_edges)
-    if not edges or edges[0] != 0:
-        raise ValidationError(f"bucket edges must start at 0, got {edges[:1]}")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValidationError(f"bucket edges must be strictly ascending, got {edges}")
-
-    unweighted = config.with_cell(config.alpha, 0.0)
-    bucket = np.searchsorted(edges, table.pops, side="right") - 1
     out: list[Stratum] = []
-    for i, lo in enumerate(edges):
-        mask = bucket == i
+    for lo, hi, mask in bucket_masks(table.pops, bucket_edges, 0, "bucket edges"):
         count = int(np.count_nonzero(mask))
-        score = (_probe_from_arrays(table.ranks[mask], table.pops[mask], unweighted)
-                 if count else None)
-        hi = edges[i + 1] if i + 1 < len(edges) else None
+        score = (float(score_grid(table.ranks[mask], table.pops[mask], config,
+                                  (config.alpha,), (0.0,))[0, 0]) if count else None)
         out.append(Stratum(lo=lo, hi=hi, count=count, score=score))
     return out

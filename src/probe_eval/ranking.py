@@ -9,6 +9,7 @@ filter removes every candidate that would itself form a known-true triple
 
 from __future__ import annotations
 
+import array
 import enum
 import hashlib
 import json
@@ -366,12 +367,18 @@ def iter_score_rows(path: str | Path,
                 raise ValidationError(
                     f"triple ({head}, {relation}, {tail}) references labels outside "
                     "the dataset vocabulary", path=path, line=lineno)
+            # array("d") takes any iterable of real numbers, bools included;
+            # a bool is looked for only when the line spells one
             try:
-                vector = np.asarray(scores, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
+                if type(scores) is not list or (
+                        ("true" in line or "false" in line)
+                        and any(x is True or x is False for x in scores)):
+                    raise TypeError("scores is not a JSON array of numbers")
+                vector = np.frombuffer(array.array("d", scores), dtype=np.float64)
+            except (TypeError, OverflowError):
                 raise ParseError("scores must be a list of numbers",
                                  path=str(path), line=lineno) from None
-            if vector.ndim != 1 or len(vector) != graph.n_entities:
+            if len(vector) != graph.n_entities:
                 raise ValidationError(
                     f"scores length {vector.size} != entity count {graph.n_entities}",
                     path=path, line=lineno)

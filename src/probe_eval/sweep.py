@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricConfig, exact_sum, popularity_weights, transform_ranks
+from .metrics import MetricConfig, bucket_masks, score_grid
 from .ranking import RankTable, check_same_queries
 
 TIE_TOLERANCE = 1e-12
@@ -161,20 +161,10 @@ def run_sweep(models: Mapping[str, RankTable], grid: SweepGrid,
     tables = {name: models[name] for name in sorted(models)}
     check_same_queries(tables)
 
-    # beta sets only the weights and alpha only the transform: each model's
-    # weights and their sum are computed once per beta, then every cell is
-    # one product and one exact_sum, the same arithmetic as probe_score.
-    cells: dict[Cell, dict[str, float]] = {cell: {} for cell in grid.cells()}
-    for beta in grid.betas:
-        beta_config = config.with_cell(config.alpha, beta)
-        weights = {name: popularity_weights(table.pops, beta_config)
-                   for name, table in tables.items()}
-        totals = {name: exact_sum(w) for name, w in weights.items()}
-        for alpha in grid.alphas:
-            cell_config = config.with_cell(alpha, beta)
-            for name, table in tables.items():
-                scores = transform_ranks(table.ranks, cell_config)
-                cells[(alpha, beta)][name] = exact_sum(weights[name] * scores) / totals[name]
+    grids = {name: score_grid(table.ranks, table.pops, config, grid.alphas, grid.betas)
+             for name, table in tables.items()}
+    cells = {(alpha, beta): {name: float(scores[i, j]) for name, scores in grids.items()}
+             for i, alpha in enumerate(grid.alphas) for j, beta in enumerate(grid.betas)}
 
     result = SweepResult(models=list(tables), grid=grid, cells=cells)
     result.rankings = {cell: _rank_cell(cell, scores) for cell, scores in cells.items()}
@@ -194,18 +184,8 @@ class RankBin:
 def rank_histogram(table: RankTable,
                    bins: Sequence[int] = DEFAULT_RANK_BINS) -> list[RankBin]:
     """Count records per rank bin; the final bin is [last edge, inf)."""
-    edges = list(bins)
-    if not edges or edges[0] != 1:
-        raise ValidationError(f"rank bins must start at 1, got {edges[:1]}")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValidationError(f"rank bins must be strictly ascending, got {edges}")
-    counts = np.bincount(np.searchsorted(edges, table.ranks, side="right") - 1,
-                         minlength=len(edges))
-    out = []
-    for i, count in enumerate(counts):
-        hi = edges[i + 1] if i + 1 < len(edges) else None
-        out.append(RankBin(lo=edges[i], hi=hi, count=int(count)))
-    return out
+    return [RankBin(lo=lo, hi=hi, count=int(np.count_nonzero(mask)))
+            for lo, hi, mask in bucket_masks(table.ranks, bins, 1, "rank bins")]
 
 
 def surface_export(result: SweepResult, path: str | Path) -> None:

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -412,6 +413,19 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert f"error[usage]: unrecognized arguments: {flag} train.txt" in err
 
+    def test_warnings_go_to_each_calls_stderr(self, toy_dataset):
+        """A host that redirects stderr between calls gets each call's warnings."""
+        train = toy_dataset / "train.txt"
+        train.write_text(train.read_text() + "a\tr1\tb\n", encoding="utf-8")
+        handlers = list(logging.getLogger("probe_eval").handlers)
+        for _ in range(2):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                assert dispatch(["stats", "--dataset", str(toy_dataset)]) == 0
+            assert stderr.getvalue() == \
+                f"WARNING {train}: dropped 1 duplicate triple line(s)\n"
+        assert logging.getLogger("probe_eval").handlers == handlers
+
     def test_threads_validated(self, toy_dataset, rankfile, capsys):
         assert run_cli("eval", "--ranks", str(rankfile),
                        "--dataset", str(toy_dataset), "--threads", "0") == 1
@@ -579,6 +593,23 @@ class TestHostileInputs:
                        "--out", str(tmp_path / "o.tsv")) == 1
         assert f"{scores}:1:" in single_error_line(capsys, "parse")
 
+    @pytest.mark.parametrize("values", [
+        (0.1, "0.1", 0.3, 0.4), (0.1, True, 0.3, 0.4), (0.1, False, 0.3, 0.4), {},
+        [[0.1, 0.2], [0.3, 0.4]],
+    ], ids=["string", "true", "false", "object", "nested"])
+    def test_scores_not_a_list_of_numbers_is_parse_error(self, toy_dataset, tmp_path,
+                                                          capsys, values):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps({"head": "d", "relation": "r1", "tail": "b",
+                                      "direction": "head", "scores": values}) + "\n",
+                          encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        assert run_cli("rank", "--scores", str(scores), "--dataset", str(toy_dataset),
+                       "--allow-partial", "--out", str(out)) == 1
+        assert single_error_line(capsys, "parse") == \
+            f"error[parse]: {scores}:1: scores must be a list of numbers"
+        assert not out.exists()
+
     @pytest.mark.parametrize("profile", [
         {"kind": "mixture", "p1": 0.5, "n_entities": 10},
         [{"kind": "mixture"}],
@@ -635,8 +666,8 @@ class TestHostileInputs:
 def _mutate_score_lines(lines: list[bytes], data) -> tuple[list[bytes], str]:
     """One hostile edit of a JSON-lines score file, drawn by Hypothesis."""
     kind = data.draw(st.sampled_from([
-        "truncate", "0xff", "nan", "null", "string", "missing-key", "duplicate",
-        "bom", "list-label", "huge-int"]))
+        "truncate", "0xff", "nan", "null", "string", "numeric-string", "bool",
+        "missing-key", "duplicate", "bom", "list-label", "huge-int"]))
     i = data.draw(st.integers(0, len(lines) - 1))
     lines = list(lines)
     if kind == "truncate":
@@ -662,9 +693,10 @@ def _mutate_score_lines(lines: list[bytes], data) -> tuple[list[bytes], str]:
             label = data.draw(st.sampled_from(["head", "relation", "tail"]))
             row[label] = [row.get(label)]
         else:
-            scores[data.draw(st.integers(0, len(scores) - 1))] = {
-                "nan": float("nan"), "null": None, "string": "high",
-                "huge-int": 10 ** 400}[kind]
+            scores[data.draw(st.integers(0, len(scores) - 1))] = (
+                data.draw(st.booleans()) if kind == "bool" else
+                {"nan": float("nan"), "null": None, "string": "high", "numeric-string": "0.1",
+                 "huge-int": 10 ** 400}[kind])
         lines[i] = json.dumps(row).encode("utf-8")
     return lines, kind
 
@@ -700,6 +732,8 @@ def test_rank_fuzzed_score_file_keeps_the_cli_contract(fuzz_dir, data):
         assert len(err.splitlines()) == 1 and err.startswith("error["), err
     if kinds == ["bom"]:
         assert code == 0
+    if kinds in (["numeric-string"], ["bool"]):
+        assert code == 1
 
 
 TOY_RANK_LINES = [b"d\tr1\tb\thead\t3", b"d\tr1\tb\ttail\t1",

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from conftest import make_records
 from probe_eval import metrics
 from probe_eval.errors import ValidationError
-from probe_eval.metrics import (MetricConfig, default_bucket_edges, exact_sum, hits_at_k,
-                                mr, mrr, popularity_weights, probe_score,
+from probe_eval.metrics import (MetricConfig, bucket_masks, default_bucket_edges, exact_sum,
+                                hits_at_k, mr, mrr, popularity_weights, probe_score,
                                 rt_affine, rt_raw, stratified_breakdown, weight)
+from probe_eval.sweep import rank_histogram
 from probe_eval.synthetic import oracle_probe
 
 alphas_pos = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
@@ -187,10 +188,10 @@ class TestProbeScore:
     def test_largest_weight_is_exactly_one(self):
         pops = np.array([40, 3, 10**6])
         for beta in (0.0, 0.4, 2.0, 90.0):
-            weights = popularity_weights(pops, MetricConfig(beta=beta, affine=False))
+            weights = popularity_weights(pops, beta, 1.0)
             assert weights[1] == 1.0  # the least popular gold
             assert weights.max() == 1.0
-        unweighted = popularity_weights(pops, MetricConfig(beta=0.0, affine=False))
+        unweighted = popularity_weights(pops, 0.0, 1.0)
         assert unweighted.tolist() == [1.0] * 3
 
     def test_rank_above_entity_count_rejected_in_affine(self):
@@ -443,6 +444,16 @@ class TestStratifiedBreakdown:
             with pytest.raises(ValidationError):
                 stratified_breakdown(records, edges, MetricConfig(affine=False))
 
+    def test_rank_above_entity_count_rejected_in_affine(self):
+        records = make_records([1, 6], pops=[0, 9])
+        config = MetricConfig(affine=True, entity_count=5)
+        with pytest.raises(ValidationError) as expected:
+            probe_score(records, config)
+        with pytest.raises(ValidationError) as raised:
+            stratified_breakdown(records, [0, 4], config)
+        assert str(raised.value) == str(expected.value) == \
+            "rank 6 exceeds entity_count 5 in affine mode"
+
     @given(st.lists(st.tuples(st.integers(1, 100), st.integers(0, 500)),
                     min_size=1, max_size=300),
            st.lists(st.integers(1, 400), min_size=0, max_size=6, unique=True))
@@ -460,6 +471,37 @@ class TestStratifiedBreakdown:
         assert [s.score for s in strata] == [
             probe_score(make_records([r for r, _ in b], [p for _, p in b]), cfg) if b else None
             for b in buckets]
+
+
+class TestBucketMasks:
+    @pytest.mark.parametrize("edges, message", [
+        ([], "bucket edges must start at 0, got []"),
+        ([1, 2], "bucket edges must start at 0, got [1]"),
+        ([0, 2, 2], "bucket edges must be strictly ascending, got [0, 2, 2]"),
+        ([0, 3, 1], "bucket edges must be strictly ascending, got [0, 3, 1]"),
+    ])
+    def test_strata_edge_messages(self, edges, message):
+        with pytest.raises(ValidationError) as raised:
+            stratified_breakdown(make_records([1]), edges, MetricConfig(affine=False))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("edges, message", [
+        ([], "rank bins must start at 1, got []"),
+        ([2, 3], "rank bins must start at 1, got [2]"),
+        ([1, 1], "rank bins must be strictly ascending, got [1, 1]"),
+        ([1, 5, 4], "rank bins must be strictly ascending, got [1, 5, 4]"),
+    ])
+    def test_rank_bin_edge_messages(self, edges, message):
+        with pytest.raises(ValidationError) as raised:
+            rank_histogram(make_records([1]), edges)
+        assert str(raised.value) == message
+
+    def test_last_bucket_is_unbounded(self):
+        buckets = list(bucket_masks(np.array([0, 3, 9, 12]), (0, 4, 10), 0, "edges"))
+        assert [(lo, hi, mask.tolist()) for lo, hi, mask in buckets] == [
+            (0, 4, [True, True, False, False]),
+            (4, 10, [False, False, True, False]),
+            (10, None, [False, False, False, True])]
 
 
 class TestDefaultBucketEdges:

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_records
 from probe_eval.errors import ValidationError
-from probe_eval.metrics import MetricConfig, probe_score
+from probe_eval.metrics import MetricConfig, popularity_weights, probe_score
 from probe_eval.sweep import (DEFAULT_RANK_BINS, SweepGrid, SweepResult, _rank_cell,
                               _strict_order, find_flips, histogram_export,
                               rank_histogram, run_sweep, surface_export)
@@ -114,12 +116,31 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             run_sweep({}, SweepGrid(), BASE_CONFIG)
 
+    def test_rank_above_entity_count_rejected_in_affine(self):
+        config = MetricConfig(affine=True, entity_count=5)
+        models = {"a": make_records([1, 2]), "b": make_records([6, 1])}
+        with pytest.raises(ValidationError) as expected:
+            probe_score(models["b"], config)
+        with pytest.raises(ValidationError) as raised:
+            run_sweep(models, SweepGrid(), config)
+        assert str(raised.value) == str(expected.value) == \
+            "rank 6 exceeds entity_count 5 in affine mode"
+
+
+def fsum_cell(table, config, alpha, beta) -> float:
+    """One cell from its definition: this cell's weights and transform, fsum sums."""
+    weights = popularity_weights(table.pops, beta, config.epsilon)
+    scores = np.power(table.ranks.astype(np.float64), -alpha)
+    if config.affine:
+        scores = (scores - 1.0) / (1.0 - float(config.entity_count) ** -alpha) + 1.0
+    return math.fsum((weights * scores).tolist()) / math.fsum(weights.tolist())
+
 
 class TestCellParity:
     @given(data=st.data(), affine=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_every_cell_is_probe_score_bit_for_bit(self, data, affine):
-        """The beta-outer, alpha-inner loop reproduces probe_score at every cell.
+    def test_every_cell_matches_fsum_reference_bit_for_bit(self, data, affine):
+        """Every sweep cell equals a per-cell math.fsum mean, bit for bit.
 
         Popularities reach 10**6, so beta = 50 pushes some weights below
         2**-960 and exact_sum takes its math.fsum fallback there.
@@ -140,7 +161,7 @@ class TestCellParity:
         result = run_sweep(models, grid, config)
         for cell in grid.cells():
             for name, records in models.items():
-                expected = probe_score(records, config.with_cell(*cell))
+                expected = fsum_cell(records, config, *cell)
                 assert result.cells[cell][name].hex() == expected.hex()
 
 

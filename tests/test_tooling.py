@@ -1,7 +1,7 @@
 """Repository guards: the benchmark's tracer wraps functions that exist in
-the package, float reductions go through ``metrics.exact_sum``, ranked
-queries reach the metrics only as a ``RankTable``, and the command-line
-options are pinned."""
+the package, float reductions go through ``metrics.exact_sum``, PROBE
+scores come only from ``metrics.score_grid``, ranked queries reach the
+metrics only as a ``RankTable``, and the command-line options are pinned."""
 
 from __future__ import annotations
 
@@ -32,15 +32,20 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
+def _nodes_inside(tree: ast.AST, function: str) -> set[int]:
+    """ids of the AST nodes within every definition of `function`."""
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == function
+            for node in ast.walk(fn)}
+
+
 def test_fsum_is_called_only_inside_exact_sum():
     """math.fsum over an ndarray walks it one NumPy scalar at a time; exact_sum
     gives the same bits in a few vectorised passes, so nothing else calls fsum."""
     stray = []
     for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "exact_sum"
-                   for node in ast.walk(fn)}
+        allowed = _nodes_inside(tree, "exact_sum")
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
@@ -49,6 +54,23 @@ def test_fsum_is_called_only_inside_exact_sum():
                 stray.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and any(a.name == "fsum" for a in node.names):
                 stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_probe_arithmetic_is_only_in_score_grid():
+    """probe_score, every stratum and every sweep cell are scored by score_grid,
+    so no other code in metrics.py or sweep.py weights or transforms ranks."""
+    stray = []
+    for name in ("metrics.py", "sweep.py"):
+        tree = ast.parse((ROOT / "src" / "probe_eval" / name).read_text(encoding="utf-8"))
+        allowed = _nodes_inside(tree, "score_grid")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                called = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                if called in ("popularity_weights", "power"):
+                    stray.append(f"{name}:{node.lineno}")
     assert stray == []
 
 
@@ -76,12 +98,11 @@ CLI_OPTIONS = {
     "rank": {"--scores", "--dataset", "--tie", "--seed", "--raw", "--allow-partial",
              "--out", "--threads"},
     "eval": {"--ranks", "--dataset", "--epsilon", "--no-affine", "--entities", "--alpha",
-             "--beta", "--tie", "--seed", "--hits", "--strata", "--format", "--out",
-             "--threads"},
+             "--beta", "--hits", "--strata", "--format", "--out", "--threads"},
     "sweep": {"--ranks", "--dataset", "--epsilon", "--no-affine", "--entities", "--alphas",
               "--betas", "--base", "--bins", "--out", "--threads"},
     "compare": {"--ranks", "--dataset", "--epsilon", "--no-affine", "--entities", "--alpha",
-                "--beta", "--tie", "--seed", "--hits", "--strata", "--format", "--threads"},
+                "--beta", "--hits", "--strata", "--format", "--threads"},
     "synth": {"--profile", "--n", "--seed", "--out"},
 }
 
