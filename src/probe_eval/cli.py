@@ -223,6 +223,8 @@ def _score_models(args, model_files: Mapping[str, str | Path]
     graph, pop = _load_dataset_from_args(args)
     config = _metric_config(args, graph, args.alpha, args.beta)
     hits_ks = _parse_ints(args.hits, "--hits")
+    if any(b <= a for a, b in zip(hits_ks, hits_ks[1:])):
+        raise ValidationError(f"--hits must be strictly ascending, got {list(hits_ks)}")
     tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
     check_same_queries(tables)
     edges = _strata_edges(args.strata, pop)

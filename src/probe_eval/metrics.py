@@ -133,34 +133,46 @@ _MAX_LEN = 2 ** 26
 _EXP_LIMIT = 960
 
 
-def exact_sum(values: np.ndarray) -> float:
+def exact_sum(values: np.ndarray, counts: np.ndarray | None = None) -> float:
     """``math.fsum(values)`` of a 1-D float array, bit for bit, in a few NumPy passes.
+
+    With an integer ``counts`` column it is ``math.fsum(np.repeat(values,
+    counts))``: value k enters the sum counts[k] times.
 
     frexp writes each value as mant * 2**exp.  mant * 2**27 splits exactly
     into an integer part below 2**27 and a fraction that is a multiple of
-    2**-26, and np.bincount sums each part per exponent.  For n < 2**26
-    every partial sum fits in 53 bits, so those sums are exact, and so is
-    scaling them back with ldexp while exponents stay within +-960.  One
-    fsum over the scaled sums then rounds the same exact total that fsum
-    over the values would.  Non-finite values, huge arrays, exponents
-    outside that range, and zero totals (whose sign fsum decides) take
-    math.fsum itself.
+    2**-26, each part is multiplied by its count, and np.bincount sums each
+    part per exponent.  While the counts sum below 2**26 (the number of
+    values when there are no counts), every product and partial sum fits in
+    53 bits, so those sums are exact, and so is scaling them back with ldexp
+    while exponents stay within +-960.  One fsum over the scaled sums then
+    rounds the same exact total that fsum over the repeated values would.
+    Non-finite values, too many values, exponents outside that range, and
+    zero totals (whose sign fsum decides) take math.fsum itself.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not 0 < len(values) < _MAX_LEN or not np.isfinite(values).all():
-        return math.fsum(values.tolist())
+
+    def fsum_repeated() -> float:
+        return math.fsum((values if counts is None else np.repeat(values, counts)).tolist())
+
+    n = len(values) if counts is None else int(counts.sum())
+    if not 0 < n < _MAX_LEN or not np.isfinite(values).all():
+        return fsum_repeated()
     mant, exp = np.frexp(values)
     emin, emax = int(exp.min()), int(exp.max())
     if emin < -_EXP_LIMIT or emax > _EXP_LIMIT:
-        return math.fsum(values.tolist())
+        return fsum_repeated()
     mant *= 2.0 ** _SPLIT_BITS
     whole = np.trunc(mant)
     mant -= whole
+    if counts is not None:
+        whole *= counts
+        mant *= counts
     bins = exp - emin
     sums = np.concatenate((np.bincount(bins, weights=whole), np.bincount(bins, weights=mant)))
     scale = np.arange(emin, emax + 1) - _SPLIT_BITS
     total = math.fsum(np.ldexp(sums, np.concatenate((scale, scale))).tolist())
-    return total if total != 0.0 else math.fsum(values.tolist())
+    return total if total != 0.0 else fsum_repeated()
 
 
 def _nonempty(table: RankTable, empty_message: str) -> RankTable:
@@ -175,28 +187,41 @@ def score_grid(ranks: np.ndarray, pops: np.ndarray, config: MetricConfig,
 
     Entry [i, j] is the weighted mean of the transformed ranks at
     (alphas[i], betas[j]); only config's epsilon, affine and entity_count
-    are read.  beta sets only the weights and alpha only the transform, so
-    each beta's weights and their sum are computed once, and each cell is
-    one transform, one product and one exact_sum.  Every alpha must be > 0.
+    are read.  A query's term depends only on its (rank, popularity) pair,
+    so the sums run over the distinct pairs, each entering exact_sum with
+    its count.  That sum is math.fsum over every query's term, bit for bit;
+    it stays vectorised while fewer than 2**26 queries are scored, and
+    falls back to math.fsum beyond.  Each alpha transforms the distinct
+    ranks once, each beta weights the distinct popularities once, and each
+    cell is one product and one counted exact_sum.  Every alpha must be > 0.
     """
-    if len(ranks) and int(ranks.min()) < 1:
+    if not len(ranks):
+        raise ValidationError("cannot score an empty record list")
+    if int(ranks.min()) < 1:
         raise ValidationError(f"ranks must be >= 1, got {int(ranks.min())}")
     if config.affine:
         n = config.entity_count
-        if len(ranks) and int(ranks.max()) > n:
+        if int(ranks.max()) > n:
             raise ValidationError(
                 f"rank {int(ranks.max())} exceeds entity_count {n} in affine mode")
         denoms = [_affine_denominator(alpha, n) for alpha in alphas]
-    values = ranks.astype(np.float64)
+    rank_values, rank_code = np.unique(ranks, return_inverse=True)
+    pop_values, pop_code = np.unique(pops, return_inverse=True)
+    pairs, counts = np.unique(rank_code * len(pop_values) + pop_code, return_counts=True)
+    pair_rank, pair_pop = np.divmod(pairs, len(pop_values))
+    values = rank_values.astype(np.float64)
+    transforms = []
+    for i, alpha in enumerate(alphas):
+        scores = np.power(values, -alpha)
+        if config.affine:
+            scores = (scores - 1.0) / denoms[i] + 1.0
+        transforms.append(scores[pair_rank])
     grid = np.empty((len(alphas), len(betas)))
     for j, beta in enumerate(betas):
-        weights = popularity_weights(pops, beta, config.epsilon)
-        total = exact_sum(weights)
-        for i, alpha in enumerate(alphas):
-            scores = np.power(values, -alpha)
-            if config.affine:
-                scores = (scores - 1.0) / denoms[i] + 1.0
-            grid[i, j] = exact_sum(weights * scores) / total
+        weights = popularity_weights(pop_values, beta, config.epsilon)[pair_pop]
+        total = exact_sum(weights, counts)
+        for i, scores in enumerate(transforms):
+            grid[i, j] = exact_sum(weights * scores, counts) / total
     return grid
 
 
@@ -205,7 +230,6 @@ def probe_score(table: RankTable, config: MetricConfig) -> float:
 
     Deterministic regardless of record order.
     """
-    _nonempty(table, "cannot score an empty record list")
     return float(score_grid(table.ranks, table.pops, config,
                             (config.alpha,), (config.beta,))[0, 0])
 

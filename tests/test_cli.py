@@ -183,6 +183,14 @@ class TestEval:
         assert single_error_line(capsys, "validation").endswith(
             "--entities must be >= 2, got 1")
 
+    def test_hits_must_ascend_strictly(self, rankfile, capsys):
+        """A repeated cutoff would collapse into one JSON key."""
+        assert run_cli("eval", "--ranks", str(rankfile), "--entities", "10",
+                       "--hits", "1,1,3") == 1
+        assert single_error_line(capsys, "validation").endswith(
+            "--hits must be strictly ascending, got [1, 1, 3]")
+        assert capsys.readouterr().out == ""
+
     def test_csv_format(self, toy_dataset, rankfile, capsys):
         assert run_cli("eval", "--ranks", str(rankfile),
                        "--dataset", str(toy_dataset), "--format", "csv") == 0
@@ -336,6 +344,14 @@ class TestCompare:
         payload = json.loads(capsys.readouterr().out)
         assert payload["models"] == evals
         assert payload["config"] == configs[0] == configs[1]
+
+    def test_hits_must_ascend_strictly(self, rankfile, capsys):
+        """A descending or repeated cutoff list would print rows out of order or twice."""
+        assert run_cli("compare", "--ranks", f"a={rankfile}", f"b={rankfile}",
+                       "--entities", "10", "--hits", "3,1,1") == 1
+        assert single_error_line(capsys, "validation").endswith(
+            "--hits must be strictly ascending, got [3, 1, 1]")
+        assert capsys.readouterr().out == ""
 
     def test_other_queries_rejected(self, rankfile, tmp_path, capsys):
         other = tmp_path / "other.tsv"

@@ -316,9 +316,22 @@ class TestExactSum:
             assume(False)
         assert _bits(exact_sum(values)) == _bits(expected)
 
-    def _fsum_lengths(self, monkeypatch, values) -> list[int]:
-        """Lengths of the lists exact_sum hands to math.fsum; a fallback hands all n."""
-        expected = math.fsum(values.tolist())
+    @given(data=st.data(), values=float_arrays)
+    @settings(max_examples=400)
+    def test_counted_sum_is_fsum_of_repeated_values(self, data, values):
+        counts = np.array(data.draw(st.lists(st.integers(1, 1000), min_size=len(values),
+                                             max_size=len(values))), dtype=np.int64)
+        try:
+            expected = math.fsum(np.repeat(values, counts).tolist())
+        except OverflowError:
+            assume(False)
+        assert _bits(exact_sum(values, counts)) == _bits(expected)
+
+    def _fsum_lengths(self, monkeypatch, values, counts=None) -> list[int]:
+        """Lengths of the lists exact_sum hands to math.fsum; a fallback hands
+        all n values, each repeated counts[k] times when counts are given."""
+        repeated = values if counts is None else np.repeat(values, counts)
+        expected = math.fsum(repeated.tolist())
         lengths = []
         real = math.fsum
 
@@ -327,7 +340,7 @@ class TestExactSum:
             return real(xs)
 
         monkeypatch.setattr(math, "fsum", spy)
-        assert _bits(exact_sum(values)) == _bits(expected)
+        assert _bits(exact_sum(values, counts)) == _bits(expected)
         return lengths
 
     def test_vectorised_path(self, monkeypatch):
@@ -365,6 +378,21 @@ class TestExactSum:
     def test_infinities_fall_back(self, values, expected):
         assert exact_sum(np.array(values)) == expected == math.fsum(values)
 
+    @pytest.mark.parametrize("values, counts", [
+        ([1.0, math.inf, 2.0], [2, 1, 3]),
+        ([-math.inf, 1.0], [1, 4]),
+        ([1.0, math.nan], [3, 2]),
+        ([2.0 ** 960, -1.0], [2, 3]),          # exponent 961, above the limit
+        ([2.0 ** -962, 0.5], [5, 1]),          # exponent -961, below the limit
+        ([1.5, -0.5, -0.25], [1, 2, 2]),       # exact zero total
+        ([-0.0, -0.0], [3, 1]),                # the sign of a zero total
+    ], ids=["inf", "-inf", "nan", "huge-exponent", "tiny-exponent", "zero-total",
+            "negative-zero"])
+    def test_counted_fallbacks_repeat_every_value(self, monkeypatch, values, counts):
+        counts = np.array(counts, dtype=np.int64)
+        lengths = self._fsum_lengths(monkeypatch, np.array(values, dtype=np.float64), counts)
+        assert lengths[-1] == counts.sum()
+
     def test_nan_and_opposite_infinities_fall_back(self):
         assert math.isnan(exact_sum(np.array([1.0, math.nan])))
         with pytest.raises(ValueError):
@@ -378,11 +406,37 @@ class TestExactSum:
         values = np.linspace(0.1, 0.9, 9)
         assert self._fsum_lengths(monkeypatch, values) == [9]
 
+    def test_length_limit_counts_repeated_values(self, monkeypatch):
+        """Three values, but the counts make nine: the limit applies to the nine."""
+        monkeypatch.setattr(metrics, "_MAX_LEN", 8)
+        values = np.linspace(0.1, 0.9, 3)
+        assert self._fsum_lengths(monkeypatch, values, np.array([4, 3, 2])) == [9]
+
     def test_large_exact_cancellation(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(10_000) * 10.0 ** rng.integers(-100, 100, size=10_000)
         values = np.concatenate([x, [1e-20], -x[::-1]])
         assert exact_sum(values) == 1e-20
+
+
+class TestScoreGrid:
+    def test_transforms_each_distinct_rank_once(self, monkeypatch):
+        """10,000 queries with 5 distinct ranks: np.power never sees more than 5."""
+        rng = np.random.default_rng(5)
+        ranks = rng.choice([1, 2, 9, 40, 700], size=10_000)
+        pops = rng.integers(0, 50, size=10_000)
+        sizes = []
+        real = np.power
+
+        def spy(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", spy)
+        grid = metrics.score_grid(ranks, pops, MetricConfig(entity_count=1_000),
+                                  (0.5, 1.0, 2.0), (0.0, 0.4))
+        assert grid.shape == (3, 2)
+        assert sizes and max(sizes) <= 5
 
 
 class TestBaselines:

@@ -116,6 +116,14 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             run_sweep({}, SweepGrid(), BASE_CONFIG)
 
+    def test_empty_tables_rejected_as_probe_score_rejects_them(self):
+        empty = make_records([])
+        with pytest.raises(ValidationError) as expected:
+            probe_score(empty, BASE_CONFIG)
+        with pytest.raises(ValidationError) as raised:
+            run_sweep({"a": empty, "b": empty}, SweepGrid(), BASE_CONFIG)
+        assert str(raised.value) == str(expected.value) == "cannot score an empty record list"
+
     def test_rank_above_entity_count_rejected_in_affine(self):
         config = MetricConfig(affine=True, entity_count=5)
         models = {"a": make_records([1, 2]), "b": make_records([6, 1])}
@@ -156,6 +164,33 @@ class TestCellParity:
             order = data.draw(st.permutations(range(n_records)))
             models[f"m{m}"] = make_records([ranks[i] for i in order],
                                            [pops[i] for i in order], index=order)
+        self.assert_cells_match_reference(models, affine)
+
+    @given(data=st.data(), affine=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_pairs_match_fsum_reference_bit_for_bit(self, data, affine):
+        """Queries share few (rank, popularity) pairs, so score_grid sums each
+        distinct pair with a count above 1; the reference still sums every query."""
+        n_records = data.draw(st.integers(2, 300))
+        pops = data.draw(st.lists(st.sampled_from([0, 1, 10 ** 6]),
+                                  min_size=n_records, max_size=n_records))
+        models = {}
+        for m in range(data.draw(st.integers(2, 4))):
+            pool = data.draw(st.lists(st.integers(1, 10_000), min_size=1, max_size=4))
+            ranks = data.draw(st.lists(st.sampled_from(pool),
+                                       min_size=n_records, max_size=n_records))
+            models[f"m{m}"] = make_records(ranks, pops)
+        self.assert_cells_match_reference(models, affine)
+
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_one_shared_pair_matches_fsum_reference(self, affine):
+        """Every query of each model is one (rank, popularity) pair."""
+        models = {"a": make_records([3] * 500, [10 ** 6] * 500),
+                  "b": make_records([1] * 500, [10 ** 6] * 500)}
+        self.assert_cells_match_reference(models, affine)
+
+    @staticmethod
+    def assert_cells_match_reference(models, affine):
         grid = SweepGrid(alphas=(0.1, 1.0, 7.0), betas=(0.0, 1.0, 50.0), base=(1.0, 0.0))
         config = BASE_CONFIG if affine else MetricConfig(affine=False)
         result = run_sweep(models, grid, config)
