@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 validation/parse/usage errors, 2 I/O errors.
 Diagnostics go to stderr with a single-line machine-parseable prefix
 (``error[<category>]: message``); data goes to files or stdout.  Every
-output file gets a sidecar ``*.manifest.json`` recording the command,
-resolved configuration, input digests, tool version, and timestamp, so
-reruns on identical inputs produce byte-identical data files and
-manifests differing only in the timestamp.
+command ends in ``_emit``, which writes each output file's sidecar
+manifest recording the command, resolved configuration, input digests,
+tool version, and timestamp, so reruns on identical inputs produce
+byte-identical data files and manifests differing only in the timestamp.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class RunManifest:
                 digest.update(block)
         self.inputs[str(path)] = f"sha256:{digest.hexdigest()}"
 
-    def add_dataset_inputs(self, dataset: str | None) -> None:
-        """Record the split files when the command read a dataset."""
-        if dataset:
-            for name in SPLIT_FILES:
-                self.add_input(Path(dataset) / name)
-
     def write(self, path: str | Path) -> None:
         payload = {
             "tool": PROG,
@@ -95,6 +89,34 @@ def _write_json(payload, path: str | Path) -> None:
 
 def _dump_json(payload) -> str:
     return _JSON.encode(payload) + "\n"
+
+
+def _emit(args, argv: list[str], config: dict, inputs: Iterable[str | Path],
+          text: str | None = None, manifest: str | Path | None = None) -> int:
+    """The one output path of every command; returns its exit code.
+
+    ``text``, when given, is the command's data: it goes to --out, or to
+    stdout when there is no --out, and stdout output gets no manifest.
+    Output to files gets one manifest: ``config`` (plus --threads where the
+    command has that flag) and the digests of ``inputs`` and of the
+    dataset's split files, written to ``manifest``, by default
+    ``<--out>.manifest.json``.
+    """
+    out = getattr(args, "out", None)
+    if text is not None:
+        if out is None:
+            sys.stdout.write(text)
+            return 0
+        Path(out).write_text(text, encoding="utf-8")
+    if hasattr(args, "threads"):
+        config = {**config, "threads": args.threads}
+    record = RunManifest(args.command, argv, config)
+    if getattr(args, "dataset", None):
+        inputs = [*inputs, *(Path(args.dataset) / name for name in SPLIT_FILES)]
+    for path in inputs:
+        record.add_input(path)
+    record.write(manifest or f"{out}.manifest.json")
+    return 0
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -220,11 +242,13 @@ def _score_models(args, model_files: Mapping[str, str | Path]
     manifest records those.  The models must rank the same queries, and
     they share one bucket scheme so that their per-stratum rows align.
     """
-    graph, pop = _load_dataset_from_args(args)
-    config = _metric_config(args, graph, args.alpha, args.beta)
     hits_ks = _parse_ints(args.hits, "--hits")
+    if min(hits_ks) < 1:
+        raise ValidationError(f"--hits cutoffs must be >= 1, got {list(hits_ks)}")
     if any(b <= a for a, b in zip(hits_ks, hits_ks[1:])):
         raise ValidationError(f"--hits must be strictly ascending, got {list(hits_ks)}")
+    graph, pop = _load_dataset_from_args(args)
+    config = _metric_config(args, graph, args.alpha, args.beta)
     tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
     check_same_queries(tables)
     edges = _strata_edges(args.strata, pop)
@@ -255,16 +279,11 @@ def _cmd_stats(args, argv: list[str]) -> int:
     stats = dataset_stats(graph, pop)
     if args.export_vocab:
         export_vocabulary(graph, args.export_vocab)
+        # the vocabulary is an output file of its own, with its own sidecar
+        _emit(argparse.Namespace(**{**vars(args), "out": args.export_vocab}), argv, {}, ())
     text = (_dump_json(stats.to_json_dict()) if args.format == "json"
             else stats.to_text() + "\n")
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        manifest = RunManifest("stats", argv, config={"format": args.format})
-        manifest.add_dataset_inputs(args.dataset)
-        manifest.write(f"{args.out}.manifest.json")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args, argv, {"format": args.format}, (), text=text)
 
 
 def _cmd_rank(args, argv: list[str]) -> int:
@@ -273,29 +292,15 @@ def _cmd_rank(args, argv: list[str]) -> int:
     table = rank_score_file(args.scores, graph, pop, tie, raw=args.raw,
                             allow_partial=args.allow_partial)
     write_rank_file(table, args.out)
-    manifest = RunManifest("rank", argv, config={
-        "tie": tie.policy, "seed": tie.seed, "raw": args.raw, "threads": args.threads,
-    })
-    manifest.add_input(args.scores)
-    manifest.add_dataset_inputs(args.dataset)
-    manifest.write(f"{args.out}.manifest.json")
-    return 0
+    return _emit(args, argv, {"tie": tie.policy, "seed": tie.seed, "raw": args.raw},
+                 [args.scores])
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
     config, _, per_model = _score_models(args, {"model": args.ranks})
     payload = {**per_model["model"], "config": config}
-
     text = (_metrics_csv(payload) if args.format == "csv" else _dump_json(payload))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        manifest = RunManifest("eval", argv, config={**config, "threads": args.threads})
-        manifest.add_input(args.ranks)
-        manifest.add_dataset_inputs(args.dataset)
-        manifest.write(f"{args.out}.manifest.json")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args, argv, config, [args.ranks], text=text)
 
 
 def _cmd_sweep(args, argv: list[str]) -> int:
@@ -325,17 +330,12 @@ def _cmd_sweep(args, argv: list[str]) -> int:
                       for name, table in models.items()},
                      out_dir / "histogram.csv")
 
-    manifest = RunManifest("sweep", argv, config={
+    return _emit(args, argv, {
         "alphas": list(grid.alphas), "betas": list(grid.betas),
         "base": list(grid.base), "epsilon": args.epsilon,
         "affine": not args.no_affine, "entity_count": config.entity_count,
-        "threads": args.threads, "bins": list(bins),
-    })
-    for path in model_files.values():
-        manifest.add_input(path)
-    manifest.add_dataset_inputs(args.dataset)
-    manifest.write(out_dir / "manifest.json")
-    return 0
+        "bins": list(bins),
+    }, model_files.values(), manifest=out_dir / "manifest.json")
 
 
 def _cmd_compare(args, argv: list[str]) -> int:
@@ -345,9 +345,8 @@ def _cmd_compare(args, argv: list[str]) -> int:
     config, hits_ks, per_model = _score_models(args, model_files)
 
     if args.format == "json":
-        payload = {"config": config, "models": per_model}
-        sys.stdout.write(_dump_json(payload))
-        return 0
+        return _emit(args, argv, config, model_files.values(),
+                     text=_dump_json({"config": config, "models": per_model}))
 
     names = list(per_model)
     rows: list[tuple[str, list[str]]] = []
@@ -373,18 +372,13 @@ def _cmd_compare(args, argv: list[str]) -> int:
     lines = [header]
     for label, cells in rows:
         lines.append(f"{label:<{width}}  " + "  ".join(f"{c:>{col}}" for c in cells))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return _emit(args, argv, config, model_files.values(), text="\n".join(lines) + "\n")
 
 
 def _cmd_synth(args, argv: list[str]) -> int:
     profile = load_profile(args.profile)
     write_rank_file(generate(profile, args.n, args.seed), args.out)
-    manifest = RunManifest("synth", argv,
-                           config={"n": args.n, "seed": args.seed})
-    manifest.add_input(args.profile)
-    manifest.write(f"{args.out}.manifest.json")
-    return 0
+    return _emit(args, argv, {"n": args.n, "seed": args.seed}, [args.profile])
 
 
 # ---------------------------------------------------------------------------

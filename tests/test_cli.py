@@ -82,6 +82,20 @@ class TestStats:
         lines = vocab.read_text().splitlines()
         assert lines[0].split("\t") == ["a", "0"]
 
+    def test_export_vocab_gets_a_manifest(self, toy_dataset, tmp_path, capsys):
+        """The vocabulary is an output file; the report on stdout gets no manifest."""
+        vocab = tmp_path / "vocab.tsv"
+        assert run_cli("stats", "--dataset", str(toy_dataset),
+                       "--export-vocab", str(vocab)) == 0
+        assert json.loads(capsys.readouterr().out)["n_entities"] == 4
+        assert vocab.read_bytes() == b"a\t0\nb\t1\nc\t2\nd\t3\n"
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
+            "vocab.tsv", "vocab.tsv.manifest.json"]
+        manifest = json.loads((tmp_path / "vocab.tsv.manifest.json").read_text())
+        assert (manifest["command"], manifest["config"]) == ("stats", {})
+        assert sorted(manifest["inputs"]) == [
+            str(toy_dataset / name) for name in ("test.txt", "train.txt", "valid.txt")]
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = run_cli("stats", "--dataset", str(tmp_path / "nope"))
         assert code == 2
@@ -162,6 +176,13 @@ class TestEval:
         assert run_cli("eval", "--ranks", str(rankfile)) == 1
         assert "entity count" in capsys.readouterr().err
 
+    def test_raw_transform_needs_no_entity_source(self, rankfile, capsys):
+        assert run_cli("eval", "--ranks", str(rankfile), "--no-affine") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["entity_count"] is None
+        assert payload["config"]["affine"] is False
+        assert payload["mr"] == 2.5
+
     def test_negative_alpha_cites_requirement(self, toy_dataset, rankfile, capsys):
         code = run_cli("eval", "--ranks", str(rankfile),
                        "--dataset", str(toy_dataset), "--alpha", "-1")
@@ -182,6 +203,12 @@ class TestEval:
         assert run_cli("eval", "--ranks", "missing.tsv", "--entities", "1") == 1
         assert single_error_line(capsys, "validation").endswith(
             "--entities must be >= 2, got 1")
+
+    def test_hits_below_one_rejected_before_any_file_is_read(self, tmp_path, capsys):
+        assert run_cli("eval", "--ranks", "missing.tsv", "--dataset", str(tmp_path / "nope"),
+                       "--hits", "0") == 1
+        assert single_error_line(capsys, "validation") == \
+            "error[validation]: --hits cutoffs must be >= 1, got [0]"
 
     def test_hits_must_ascend_strictly(self, rankfile, capsys):
         """A repeated cutoff would collapse into one JSON key."""
@@ -263,6 +290,15 @@ class TestSweepCommand:
         assert run_cli("sweep", "--ranks", "nofile.tsv",
                        "--entities", "10", "--out", str(tmp_path / "o")) == 1
         assert "name=path" in capsys.readouterr().err
+
+    def test_duplicate_model_name_rejected(self, tmp_path, capsys):
+        a = self.ranks_for(tmp_path, "a", [1, 2])
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--ranks", f"m={a}", f"m={a}",
+                       "--entities", "10", "--out", str(out)) == 1
+        assert single_error_line(capsys, "validation") == \
+            "error[validation]: duplicate model name 'm'"
+        assert not out.exists()
 
     def test_mismatched_models_rejected(self, tmp_path, capsys):
         a = self.ranks_for(tmp_path, "a", [1, 2])
@@ -597,6 +633,20 @@ class TestHostileInputs:
                        else str(rankfile), "--entities", "10", *flags,
                        "--out", str(out)) == 1
         assert "must be finite" in single_error_line(capsys, "validation")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("sweep", ["--alphas", "1,x"], "--alphas expects comma-separated numbers, got '1,x'"),
+        ("eval", ["--strata", "0,x"], "--strata expects comma-separated integers, got '0,x'"),
+        ("sweep", ["--base", "1"], "--base expects alpha,beta, got '1'"),
+    ], ids=["sweep-alphas-word", "eval-strata-word", "sweep-base-one-number"])
+    def test_malformed_list_argument_rejected(self, rankfile, tmp_path, capsys,
+                                              command, flags, message):
+        out = tmp_path / "out"
+        assert run_cli(command, "--ranks", f"m={rankfile}" if command == "sweep"
+                       else str(rankfile), "--entities", "10", *flags,
+                       "--out", str(out)) == 1
+        assert single_error_line(capsys, "validation") == f"error[validation]: {message}"
         assert not out.exists()
 
     def test_non_numeric_score_is_parse_error(self, toy_dataset, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Repository guards: the benchmark's tracer wraps functions that exist in
 the package, float reductions go through ``metrics.exact_sum``, PROBE
 scores come only from ``metrics.score_grid``, ranked queries reach the
-metrics only as a ``RankTable``, and the command-line options are pinned."""
+metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
+and the command-line options are pinned."""
 
 from __future__ import annotations
 
@@ -87,6 +88,25 @@ def test_rank_record_is_named_only_in_ranking():
                      else [node.id] if isinstance(node, ast.Name)
                      else [node.value] if isinstance(node, ast.Constant) else [])
             if "RankRecord" in names:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_manifests_are_built_only_in_emit():
+    """_emit alone builds a RunManifest and names a sidecar path, so every
+    output file's manifest records its inputs, --threads and the dataset alike."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = _nodes_inside(tree, "_emit")
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "RunManifest"):
+                stray.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and ".manifest.json" in node.value):
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
