@@ -7,6 +7,8 @@ command ends in ``_emit``, which writes each output file's sidecar
 manifest recording the command, resolved configuration, input digests,
 tool version, and timestamp, so reruns on identical inputs produce
 byte-identical data files and manifests differing only in the timestamp.
+``eval``, ``compare`` and ``sweep`` check their flags before ``_load_models``
+reads any file, and write nothing until every result is computed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,14 +27,14 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError, ValidationError
-from .kg_data import (SPLIT_FILES, KnowledgeGraph, dataset_stats, export_vocabulary,
-                      load_dataset)
-from .metrics import (DEFAULT_HITS_KS, MetricConfig, default_bucket_edges,
+from .kg_data import SPLIT_FILES, dataset_stats, export_vocabulary, load_dataset
+from .metrics import (DEFAULT_HITS_KS, MetricConfig, check_edges, default_bucket_edges,
                       hits_at_k, mr, mrr, probe_score, stratified_breakdown)
 from .ranking import (RankTable, TiePolicy, check_same_queries, load_rank_file,
                       rank_score_file, write_rank_file)
-from .sweep import (DEFAULT_RANK_BINS, SweepGrid, histogram_export,
-                    rank_histogram, run_sweep, surface_export)
+from .sweep import (DEFAULT_ALPHAS, DEFAULT_BASE, DEFAULT_BETAS, DEFAULT_RANK_BINS,
+                    SweepGrid, histogram_export, rank_histogram, run_sweep,
+                    surface_export)
 from .synthetic import generate, load_profile
 
 PROG = "probe-eval"
@@ -119,19 +121,13 @@ def _emit(args, argv: list[str], config: dict, inputs: Iterable[str | Path],
     return 0
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, kind: type) -> tuple:
+    """The comma-separated ints or floats (`kind`) given to `flag`."""
     try:
-        return tuple(float(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise ValidationError(f"{flag} expects comma-separated numbers, got {text!r}") \
-            from None
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValidationError(f"{flag} expects comma-separated integers, got {text!r}") \
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError(f"{flag} expects comma-separated {noun}, got {text!r}") \
             from None
 
 
@@ -181,55 +177,32 @@ def _scoring_args(parser: _Parser) -> None:
                         help="'auto' or comma-separated popularity bucket edges from 0")
 
 
-def _load_dataset_from_args(args) -> tuple[KnowledgeGraph | None, np.ndarray | None]:
-    return load_dataset(args.dataset) if args.dataset else (None, None)
+def _load_models(args, model_files: Mapping[str, str | Path], alpha: float, beta: float
+                 ) -> tuple[MetricConfig, np.ndarray | None, dict[str, RankTable]]:
+    """The input path of eval, compare and sweep, once each has checked its own
+    flags: the metric flags, then the dataset, then each nonempty rank file.
 
-
-def _resolve_entity_count(args, graph: KnowledgeGraph | None) -> int | None:
-    if args.entities is not None:
-        if args.entities < 2:
-            raise ValidationError(f"--entities must be >= 2, got {args.entities}")
-        return args.entities
-    if graph is not None:
-        return graph.n_entities
-    if not args.no_affine:
+    Returns the MetricConfig at (alpha, beta), the dataset's popularity
+    column (None without --dataset) and each model's RankTable.  Only an
+    entity count taken from the dataset is checked after a file is read.
+    """
+    if args.entities is not None and args.entities < 2:
+        raise ValidationError(f"--entities must be >= 2, got {args.entities}")
+    if args.entities is None and not args.dataset and not args.no_affine:
         raise ValidationError("affine mode needs --dataset or --entities "
                               "to fix the entity count")
-    return None
-
-
-def _metric_config(args, graph: KnowledgeGraph | None, alpha: float,
-                   beta: float) -> MetricConfig:
-    return MetricConfig(alpha=alpha, beta=beta, epsilon=args.epsilon,
-                        affine=not args.no_affine,
-                        entity_count=_resolve_entity_count(args, graph))
-
-
-def _strata_edges(choice: str, pop: np.ndarray | None) -> list[int]:
-    if choice == "auto":
-        # without a dataset every gold popularity is 0
-        return default_bucket_edges(0 if pop is None else int(pop.max(initial=0)))
-    return list(_parse_ints(choice, "--strata"))
-
-
-def _eval_metrics(table: RankTable, config: MetricConfig,
-                  hits_ks: Sequence[int], strata_edges: Sequence[int]) -> dict:
-    return {
-        "probe": probe_score(table, config),
-        "mr": mr(table),
-        "mrr": mrr(table),
-        "hits": {str(k): hits_at_k(table, k) for k in hits_ks},
-        "strata": [s.to_json_dict()
-                   for s in stratified_breakdown(table, strata_edges, config)],
-    }
-
-
-def _load_ranks(path: str | Path, graph: KnowledgeGraph | None,
-                pop: np.ndarray | None) -> RankTable:
-    table = load_rank_file(path, graph=graph, popularity=pop)
-    if not len(table):
-        raise ValidationError(f"rank file {path} holds no records")
-    return table
+    # alpha, beta and epsilon need no entity count: check them in raw mode
+    config = MetricConfig(alpha=alpha, beta=beta, epsilon=args.epsilon, affine=False)
+    graph, pop = load_dataset(args.dataset) if args.dataset else (None, None)
+    config = replace(config, affine=not args.no_affine,
+                     entity_count=args.entities if args.entities is not None
+                     else graph.n_entities if graph is not None else None)
+    tables = {}
+    for name, path in model_files.items():
+        tables[name] = load_rank_file(path, graph=graph, popularity=pop)
+        if not len(tables[name]):
+            raise ValidationError(f"rank file {path} holds no records")
+    return config, pop, tables
 
 
 def _score_models(args, model_files: Mapping[str, str | Path]
@@ -242,18 +215,24 @@ def _score_models(args, model_files: Mapping[str, str | Path]
     manifest records those.  The models must rank the same queries, and
     they share one bucket scheme so that their per-stratum rows align.
     """
-    hits_ks = _parse_ints(args.hits, "--hits")
+    hits_ks = _parse_list(args.hits, "--hits", int)
     if min(hits_ks) < 1:
         raise ValidationError(f"--hits cutoffs must be >= 1, got {list(hits_ks)}")
     if any(b <= a for a, b in zip(hits_ks, hits_ks[1:])):
         raise ValidationError(f"--hits must be strictly ascending, got {list(hits_ks)}")
-    graph, pop = _load_dataset_from_args(args)
-    config = _metric_config(args, graph, args.alpha, args.beta)
-    tables = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
+    edges = (None if args.strata == "auto" else
+             check_edges(_parse_list(args.strata, "--strata", int), 0, "bucket edges"))
+    config, pop, tables = _load_models(args, model_files, args.alpha, args.beta)
     check_same_queries(tables)
-    edges = _strata_edges(args.strata, pop)
-    return config.to_json_dict(), hits_ks, {
-        name: _eval_metrics(table, config, hits_ks, edges) for name, table in tables.items()}
+    if edges is None:  # without a dataset every gold popularity is 0
+        edges = default_bucket_edges(0 if pop is None else int(pop.max(initial=0)))
+    return config.to_json_dict(), hits_ks, {name: {
+        "probe": probe_score(table, config),
+        "mr": mr(table),
+        "mrr": mrr(table),
+        "hits": {str(k): hits_at_k(table, k) for k in hits_ks},
+        "strata": [s.to_json_dict() for s in stratified_breakdown(table, edges, config)],
+    } for name, table in tables.items()}
 
 
 def _metrics_csv(payload: dict) -> str:
@@ -287,8 +266,8 @@ def _cmd_stats(args, argv: list[str]) -> int:
 
 
 def _cmd_rank(args, argv: list[str]) -> int:
-    graph, pop = load_dataset(args.dataset)
     tie = TiePolicy(args.tie, seed=args.seed)
+    graph, pop = load_dataset(args.dataset)
     table = rank_score_file(args.scores, graph, pop, tie, raw=args.raw,
                             allow_partial=args.allow_partial)
     write_rank_file(table, args.out)
@@ -305,16 +284,16 @@ def _cmd_eval(args, argv: list[str]) -> int:
 
 def _cmd_sweep(args, argv: list[str]) -> int:
     model_files = _parse_model_files(args.ranks)
-    graph, pop = _load_dataset_from_args(args)
-    models = {name: _load_ranks(path, graph, pop) for name, path in model_files.items()}
-    base = _parse_floats(args.base, "--base")
+    base = _parse_list(args.base, "--base", float)
     if len(base) != 2:
         raise ValidationError(f"--base expects alpha,beta, got {args.base!r}")
-    grid = SweepGrid(alphas=_parse_floats(args.alphas, "--alphas"),
-                     betas=_parse_floats(args.betas, "--betas"),
+    grid = SweepGrid(alphas=_parse_list(args.alphas, "--alphas", float),
+                     betas=_parse_list(args.betas, "--betas", float),
                      base=base)
-    config = _metric_config(args, graph, *grid.base)
+    bins = check_edges(_parse_list(args.bins, "--bins", int), 1, "rank bins")
+    config, _, models = _load_models(args, model_files, *grid.base)
     result = run_sweep(models, grid, config)
+    histograms = {name: rank_histogram(table, bins) for name, table in models.items()}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,16 +304,13 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     }, out_dir / "rankings.json")
     _write_json([flip.to_json_dict() for flip in result.flips],
                 out_dir / "flips.json")
-    bins = _parse_ints(args.bins, "--bins") if args.bins else DEFAULT_RANK_BINS
-    histogram_export({name: rank_histogram(table, bins)
-                      for name, table in models.items()},
-                     out_dir / "histogram.csv")
+    histogram_export(histograms, out_dir / "histogram.csv")
 
     return _emit(args, argv, {
         "alphas": list(grid.alphas), "betas": list(grid.betas),
         "base": list(grid.base), "epsilon": args.epsilon,
         "affine": not args.no_affine, "entity_count": config.entity_count,
-        "bins": list(bins),
+        "bins": bins,
     }, model_files.values(), manifest=out_dir / "manifest.json")
 
 
@@ -423,10 +399,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="evaluate models over an (alpha, beta) grid")
     p.add_argument("--ranks", required=True, nargs="+", metavar="NAME=FILE")
     _metric_args(p)
-    p.add_argument("--alphas", default="0.25,0.5,1,2")
-    p.add_argument("--betas", default="0,0.2,0.4,0.8")
-    p.add_argument("--base", default="1,0", help="reference cell alpha,beta")
-    p.add_argument("--bins", default=None,
+    p.add_argument("--alphas", default=",".join(map(str, DEFAULT_ALPHAS)))
+    p.add_argument("--betas", default=",".join(map(str, DEFAULT_BETAS)))
+    p.add_argument("--base", default=",".join(map(str, DEFAULT_BASE)),
+                   help="reference cell alpha,beta")
+    p.add_argument("--bins", default=",".join(map(str, DEFAULT_RANK_BINS)),
                    help="comma-separated rank histogram edges starting at 1")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_sweep)

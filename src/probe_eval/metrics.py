@@ -276,18 +276,24 @@ def default_bucket_edges(delta_max: int) -> list[int]:
     return edges
 
 
-def bucket_masks(values: np.ndarray, edges: Sequence[int], first: int,
-                 what: str) -> Iterator[tuple[int, int | None, np.ndarray]]:
-    """Yield (lo, hi, mask) for the half-open buckets [e0,e1), ..., [e_last, inf).
-
-    hi is None for the last bucket.  The edges must start at `first` and
-    ascend strictly; `what` names them in the error.
-    """
+def check_edges(edges: Sequence[int], first: int, what: str) -> list[int]:
+    """The bucket edges as a list; they must start at `first` and ascend
+    strictly, and `what` names them in the error."""
     edges = list(edges)
     if not edges or edges[0] != first:
         raise ValidationError(f"{what} must start at {first}, got {edges[:1]}")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValidationError(f"{what} must be strictly ascending, got {edges}")
+    return edges
+
+
+def bucket_masks(values: np.ndarray, edges: Sequence[int], first: int,
+                 what: str) -> Iterator[tuple[int, int | None, np.ndarray]]:
+    """Yield (lo, hi, mask) for the half-open buckets [e0,e1), ..., [e_last, inf).
+
+    hi is None for the last bucket; the edges pass ``check_edges``.
+    """
+    edges = check_edges(edges, first, what)
     bucket = np.searchsorted(edges, values, side="right") - 1
     for i, lo in enumerate(edges):
         yield lo, edges[i + 1] if i + 1 < len(edges) else None, bucket == i

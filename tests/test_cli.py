@@ -143,6 +143,15 @@ class TestRank:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_tie_policy_checked_before_the_dataset_is_read(self, tmp_path, capsys):
+        out = tmp_path / "o.tsv"
+        assert run_cli("rank", "--scores", str(tmp_path / "missing.jsonl"),
+                       "--dataset", str(tmp_path / "nope"), "--tie", "random",
+                       "--out", str(out)) == 1
+        assert single_error_line(capsys, "validation") == \
+            "error[validation]: random tie policy requires an explicit seed"
+        assert not out.exists()
+
     def test_partial_scores_rejected_by_default(self, toy_dataset, scores_file,
                                                 tmp_path, capsys):
         trimmed = tmp_path / "partial.jsonl"
@@ -203,6 +212,13 @@ class TestEval:
         assert run_cli("eval", "--ranks", "missing.tsv", "--entities", "1") == 1
         assert single_error_line(capsys, "validation").endswith(
             "--entities must be >= 2, got 1")
+
+    def test_metric_flags_checked_before_the_dataset_is_read(self, tmp_path, capsys):
+        """An entity count taken from the dataset is not needed to check them."""
+        assert run_cli("eval", "--ranks", "missing.tsv", "--dataset", str(tmp_path / "nope"),
+                       "--epsilon", "0") == 1
+        assert single_error_line(capsys, "validation") == \
+            "error[validation]: epsilon must be > 0, got 0.0"
 
     def test_hits_below_one_rejected_before_any_file_is_read(self, tmp_path, capsys):
         assert run_cli("eval", "--ranks", "missing.tsv", "--dataset", str(tmp_path / "nope"),
@@ -639,15 +655,23 @@ class TestHostileInputs:
         ("sweep", ["--alphas", "1,x"], "--alphas expects comma-separated numbers, got '1,x'"),
         ("eval", ["--strata", "0,x"], "--strata expects comma-separated integers, got '0,x'"),
         ("sweep", ["--base", "1"], "--base expects alpha,beta, got '1'"),
-    ], ids=["sweep-alphas-word", "eval-strata-word", "sweep-base-one-number"])
+        ("sweep", ["--bins", "0,5"], "rank bins must start at 1, got [0]"),
+        ("sweep", ["--bins", ""], "--bins expects comma-separated integers, got ''"),
+        ("sweep", ["--alphas", "0,1"], "alphas must be > 0, got (0.0, 1.0)"),
+        ("eval", ["--strata", "1,2"], "bucket edges must start at 0, got [1]"),
+    ], ids=["sweep-alphas-word", "eval-strata-word", "sweep-base-one-number",
+            "sweep-bins-from-zero", "sweep-bins-empty", "sweep-alphas-zero",
+            "eval-strata-from-one"])
     def test_malformed_list_argument_rejected(self, rankfile, tmp_path, capsys,
                                               command, flags, message):
+        """Each flag is checked before any file is read, and nothing is written."""
         out = tmp_path / "out"
-        assert run_cli(command, "--ranks", f"m={rankfile}" if command == "sweep"
-                       else str(rankfile), "--entities", "10", *flags,
-                       "--out", str(out)) == 1
-        assert single_error_line(capsys, "validation") == f"error[validation]: {message}"
-        assert not out.exists()
+        for ranks in (rankfile, tmp_path / "missing.tsv"):
+            assert run_cli(command, "--ranks", f"m={ranks}" if command == "sweep"
+                           else str(ranks), "--entities", "10", *flags,
+                           "--out", str(out)) == 1
+            assert single_error_line(capsys, "validation") == f"error[validation]: {message}"
+            assert not out.exists()
 
     def test_non_numeric_score_is_parse_error(self, toy_dataset, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"

@@ -2,7 +2,8 @@
 the package, float reductions go through ``metrics.exact_sum``, PROBE
 scores come only from ``metrics.score_grid``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
-and the command-line options are pinned."""
+every rank file is read by ``cli._load_models``, and the command-line
+options are pinned."""
 
 from __future__ import annotations
 
@@ -108,6 +109,23 @@ def test_manifests_are_built_only_in_emit():
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and ".manifest.json" in node.value):
                 stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_rank_files_are_read_only_in_load_models():
+    """eval, compare and sweep read their rank files through _load_models, after
+    their own flags are checked, so no flag is reported only after a file is read."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = _nodes_inside(tree, "_load_models")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                called = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                if called == "load_rank_file":
+                    stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
 
