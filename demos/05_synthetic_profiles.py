@@ -2,8 +2,8 @@
 """Parametric rank profiles: seeded generation and the scoring oracle.
 
 A mixture profile draws rank 1 with probability p1 and spreads the rest
-over a truncated geometric tail; popularity rules attach a training
-popularity to each stratum.  Generation is a pure function of
+over a truncated geometric tail; each popularity stratum attaches a
+training popularity, constant or drawn from a range, to a band of ranks.  Generation is a pure function of
 (profile, n, seed) -- a PCG64 stream -- so fixtures are reproducible
 anywhere.  The independent oracle re-derives every score the slow way
 to keep the fast path honest.
@@ -11,16 +11,16 @@ to keep the fast path honest.
 
 from collections import Counter
 
-from probe_eval import (MetricConfig, MixtureProfile, PopularityRule,
-                        PopularityStratum, generate, oracle_probe, probe_score)
+from probe_eval import (MetricConfig, MixtureProfile, PopularityStratum, generate,
+                        oracle_probe, probe_score)
 
 PROFILE = MixtureProfile(
     p1=0.4,
     tail_rate=0.03,
     n_entities=5_000,
     popularity_model=(
-        PopularityStratum(rule=PopularityRule(constant=2_000), max_rank=1),
-        PopularityStratum(rule=PopularityRule(low=0, high=20)),
+        PopularityStratum(constant=2_000, max_rank=1),
+        PopularityStratum(low=0, high=20),
     ))
 
 

@@ -20,9 +20,9 @@ from .ranking import (Direction, Query, RankTable, ScoreRow, TiePolicy,
                       rank_score_file, write_rank_file)
 from .sweep import (CellRanking, Flip, RankBin, SweepGrid, SweepResult,
                     find_flips, rank_histogram, run_sweep, surface_export)
-from .synthetic import (ExplicitProfile, MixtureProfile, PopularityRule,
-                        PopularityStratum, RankProfile, generate, load_profile,
-                        oracle_probe, profile_from_dict)
+from .synthetic import (ExplicitProfile, MixtureProfile, PopularityStratum,
+                        RankProfile, generate, load_profile, oracle_probe,
+                        profile_from_dict)
 
 __all__ = [
     "__version__",
@@ -38,6 +38,6 @@ __all__ = [
     "rank_score_file", "write_rank_file",
     "CellRanking", "Flip", "RankBin", "SweepGrid", "SweepResult", "find_flips",
     "rank_histogram", "run_sweep", "surface_export",
-    "ExplicitProfile", "MixtureProfile", "PopularityRule", "PopularityStratum",
-    "RankProfile", "generate", "load_profile", "oracle_probe", "profile_from_dict",
+    "ExplicitProfile", "MixtureProfile", "PopularityStratum", "RankProfile",
+    "generate", "load_profile", "oracle_probe", "profile_from_dict",
 ]

@@ -82,15 +82,12 @@ class RunManifest:
         _write_json(payload, path)
 
 
-def _write_json(payload, path: str | Path) -> None:
-    # streamed: a large sweep's flips.json is never held as one string
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(_JSON.iterencode(payload))
-        handle.write("\n")
-
-
 def _dump_json(payload) -> str:
     return _JSON.encode(payload) + "\n"
+
+
+def _write_json(payload, path: str | Path) -> None:
+    Path(path).write_text(_dump_json(payload), encoding="utf-8", newline="\n")
 
 
 def _emit(args, argv: list[str], config: dict, inputs: Iterable[str | Path],

@@ -8,7 +8,7 @@ LF or CRLF.  Labels are opaque byte strings compared exactly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -61,6 +61,7 @@ def load_split(path: str | Path) -> list[Labels]:
     return list(triples)
 
 
+@dataclass(eq=False, repr=False)  # array fields; a large vocabulary would print in full
 class KnowledgeGraph:
     """Entity/relation vocabularies plus the three splits as id-triples.
 
@@ -70,21 +71,15 @@ class KnowledgeGraph:
     and score-row indices stay stable.
     """
 
-    def __init__(
-        self,
-        entity_labels: list[str],
-        relation_labels: list[str],
-        train: np.ndarray,
-        valid: np.ndarray,
-        test: np.ndarray,
-    ):
-        self.entity_labels = entity_labels
-        self.relation_labels = relation_labels
-        self.entity_ids = {label: i for i, label in enumerate(entity_labels)}
-        self.relation_ids = {label: i for i, label in enumerate(relation_labels)}
-        self.train = train
-        self.valid = valid
-        self.test = test
+    entity_labels: list[str]
+    relation_labels: list[str]
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
+
+    def __post_init__(self):
+        self.entity_ids = {label: i for i, label in enumerate(self.entity_labels)}
+        self.relation_ids = {label: i for i, label in enumerate(self.relation_labels)}
         # lazily built (known entity, relation) -> candidate index; see ranking.filter_set
         self._filter_index = None
 
@@ -141,28 +136,18 @@ class DatasetStats:
     n_entities: int
     n_relations: int
     n_triples: int
-    delta_avg: float  # full precision; display rounds to one decimal
+    delta_avg: float | None  # full precision, None without entities; display rounds
     delta_max: int
-    delta_avg_defined: bool = True
 
     def to_json_dict(self) -> dict:
-        out = {
-            "n_entities": self.n_entities,
-            "n_relations": self.n_relations,
-            "n_triples": self.n_triples,
-            "delta_avg": self.delta_avg,
-            "delta_max": self.delta_max,
-        }
-        if not self.delta_avg_defined:
-            out["delta_avg_defined"] = False
-        return out
+        return asdict(self)
 
     def to_text(self) -> str:
         rows = [
             ("n_entities", f"{self.n_entities:,}"),
             ("n_relations", f"{self.n_relations:,}"),
             ("n_triples", f"{self.n_triples:,}"),
-            ("delta_avg", f"{self.delta_avg:.1f}" if self.delta_avg_defined else "undefined"),
+            ("delta_avg", "undefined" if self.delta_avg is None else f"{self.delta_avg:.1f}"),
             ("delta_max", f"{self.delta_max:,}"),
         ]
         width = max(len(v) for _, v in rows)
@@ -170,17 +155,17 @@ class DatasetStats:
 
 
 def dataset_stats(graph: KnowledgeGraph, pop: np.ndarray) -> DatasetStats:
-    """Summarize the training split: |E|, |R|, |T|, mean and max popularity."""
+    """Summarize the training split: |E|, |R|, |T|, mean and max popularity.
+
+    The mean is None for a dataset without entities.
+    """
     n_entities = graph.n_entities
-    if n_entities == 0:
-        return DatasetStats(0, graph.n_relations, len(graph.train), 0.0, 0,
-                            delta_avg_defined=False)
     return DatasetStats(
         n_entities=n_entities,
         n_relations=graph.n_relations,
         n_triples=len(graph.train),
-        delta_avg=int(pop.sum()) / n_entities,
-        delta_max=int(pop.max()),
+        delta_avg=int(pop.sum()) / n_entities if n_entities else None,
+        delta_max=int(pop.max(initial=0)),
     )
 
 

@@ -17,7 +17,7 @@ record permutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,13 +65,7 @@ class MetricConfig:
         return replace(self, alpha=alpha, beta=beta)
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "affine": self.affine,
-            "entity_count": self.entity_count,
-        }
+        return asdict(self)
 
 
 def rt_raw(rank: int, alpha: float) -> float:
@@ -264,7 +258,7 @@ class Stratum:
     score: float | None
 
     def to_json_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "count": self.count, "score": self.score}
+        return asdict(self)
 
 
 def default_bucket_edges(delta_max: int) -> list[int]:

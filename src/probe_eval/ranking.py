@@ -125,6 +125,7 @@ def check_same_queries(tables: Mapping[str, RankTable]) -> None:
                 f"first divergence: {ref_key} vs {key}")
 
 
+@dataclass(frozen=True)
 class TiePolicy:
     """How candidates scoring exactly equal to the gold entity count.
 
@@ -135,22 +136,18 @@ class TiePolicy:
 
     POLICIES = ("optimistic", "pessimistic", "average", "random")
 
-    def __init__(self, policy: str = "average", seed: int | None = None):
-        if policy not in self.POLICIES:
-            raise ValidationError(
-                f"unknown tie policy {policy!r}; expected one of {self.POLICIES}")
-        if policy == "random":
-            if seed is None:
-                raise ValidationError("random tie policy requires an explicit seed")
-            if seed < 0:
-                raise ValidationError(f"seed must be >= 0, got {seed}")
-        self.policy = policy
-        self.seed = seed
+    policy: str = "average"
+    seed: int | None = None
 
-    def __repr__(self) -> str:
+    def __post_init__(self):
+        if self.policy not in self.POLICIES:
+            raise ValidationError(
+                f"unknown tie policy {self.policy!r}; expected one of {self.POLICIES}")
         if self.policy == "random":
-            return f"TiePolicy('random', seed={self.seed})"
-        return f"TiePolicy({self.policy!r})"
+            if self.seed is None:
+                raise ValidationError("random tie policy requires an explicit seed")
+            if self.seed < 0:
+                raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def adjustment(self, tie_count: int, query: Query) -> int:
         """Positions added after the strictly-better count, in [0, tie_count]."""
@@ -275,15 +272,15 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
     """Read ``head<TAB>relation<TAB>tail<TAB>direction<TAB>rank`` records.
 
     Gold popularity is looked up through the graph vocabulary; entities
-    unknown to it get popularity 0 (one summary warning).  A query that
-    appears on two lines is rejected.
+    unknown to it get popularity 0 (one summary warning).  An empty label
+    and a query that appears on two lines are rejected.
     """
     path = Path(path)
     keys: list[str] = []
     ranks: list[int] = []
     gold_ids: list[int] = []
     first_line: dict[str, int] = {}
-    entity_ids = graph.entity_ids if graph is not None else None
+    entity_ids = graph.entity_ids if graph is not None else {}
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
@@ -294,6 +291,9 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
                 raise ParseError(f"expected 5 tab-separated fields, got {len(parts)}",
                                  path=str(path), line=lineno)
             head, relation, tail, direction, rank_text = (p.strip() for p in parts)
+            if not (head and relation and tail):
+                raise ParseError("empty field after whitespace trimming",
+                                 path=str(path), line=lineno)
             if direction not in _DIRECTIONS:
                 raise ParseError(_DIRECTION_ERROR.format(direction), path=path, line=lineno)
             # int() alone would also read "1_0", "+2" and non-ASCII digits
@@ -312,20 +312,15 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
                     path=path, line=lineno)
             keys.append(key)
             ranks.append(rank)
-            if entity_ids is not None:
-                gold_ids.append(entity_ids.get(head if direction == "head" else tail, -1))
+            gold_ids.append(entity_ids.get(head if direction == "head" else tail, -1))
 
+    ids = np.array(gold_ids, dtype=np.int64)
+    known = ids >= 0
     pops = np.zeros(len(keys), dtype=np.int64)
-    unknown = 0
-    if entity_ids is not None:
-        ids = np.array(gold_ids, dtype=np.int64)
-        known = ids >= 0
-        unknown = len(ids) - int(np.count_nonzero(known))
-        if popularity is not None:
-            pops[known] = popularity[ids[known]]
-    elif popularity is not None:
-        unknown = len(keys)
-    if unknown:
+    if popularity is not None:
+        pops[known] = popularity[ids[known]]
+    unknown = len(ids) - int(np.count_nonzero(known))
+    if graph is not None and unknown:
         logger.warning("%s: %d record(s) with gold entity unknown to the "
                        "vocabulary; popularity set to 0", path, unknown)
     return RankTable(keys, np.array(ranks, dtype=np.int64), pops)

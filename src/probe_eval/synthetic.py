@@ -38,12 +38,14 @@ def _require_int(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class PopularityRule:
-    """Popularity draw for one rank stratum: a constant or an inclusive range."""
+class PopularityStratum:
+    """One ``popularity_model`` entry: the popularity of a gold ranked <= max_rank
+    (None = all remaining ranks), a constant or drawn from [low, high]."""
 
     constant: int | None = None
     low: int | None = None
     high: int | None = None
+    max_rank: int | None = None
 
     def __post_init__(self):
         for name in ("constant", "low", "high"):
@@ -59,23 +61,13 @@ class PopularityRule:
                 raise ValidationError("range popularity rule needs low and high")
             if not (0 <= self.low <= self.high):
                 raise ValidationError(f"bad popularity range [{self.low}, {self.high}]")
+        if self.max_rank is not None:
+            _require_int("stratum max_rank", self.max_rank)
 
     def draw(self, rng: np.random.Generator) -> int:
         if self.constant is not None:
             return self.constant
         return int(rng.integers(self.low, self.high + 1))
-
-
-@dataclass(frozen=True)
-class PopularityStratum:
-    """Rule applied to ranks <= max_rank (None = all remaining ranks)."""
-
-    rule: PopularityRule
-    max_rank: int | None = None
-
-    def __post_init__(self):
-        if self.max_rank is not None:
-            _require_int("stratum max_rank", self.max_rank)
 
 
 @dataclass(frozen=True)
@@ -145,7 +137,7 @@ class MixtureProfile:
     def popularity_for(self, rank: int, rng: np.random.Generator) -> int:
         for stratum in self.popularity_model:
             if stratum.max_rank is None or rank <= stratum.max_rank:
-                return stratum.rule.draw(rng)
+                return stratum.draw(rng)
         return 0
 
 
@@ -163,10 +155,8 @@ def profile_from_dict(data: dict) -> RankProfile:
                                    popularities=tuple(pops) if pops is not None else None)
         if kind == "mixture":
             strata = tuple(
-                PopularityStratum(
-                    rule=PopularityRule(constant=entry.get("constant"),
-                                        low=entry.get("low"), high=entry.get("high")),
-                    max_rank=entry.get("max_rank"))
+                PopularityStratum(constant=entry.get("constant"), low=entry.get("low"),
+                                  high=entry.get("high"), max_rank=entry.get("max_rank"))
                 for entry in data.get("popularity_model", []))
             return MixtureProfile(p1=data["p1"], tail_rate=data["tail_rate"],
                                   n_entities=data["n_entities"], popularity_model=strata)

@@ -96,6 +96,19 @@ class TestStats:
         assert sorted(manifest["inputs"]) == [
             str(toy_dataset / name) for name in ("test.txt", "train.txt", "valid.txt")]
 
+    def test_empty_dataset_has_no_mean_popularity(self, tmp_path, capsys):
+        """Without entities delta_avg is null in JSON and "undefined" in text."""
+        dataset = tmp_path / "empty"
+        dataset.mkdir()
+        for name in ("train.txt", "valid.txt", "test.txt"):
+            (dataset / name).write_text("", encoding="utf-8")
+        assert run_cli("stats", "--dataset", str(dataset)) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "n_entities": 0, "n_relations": 0, "n_triples": 0,
+            "delta_avg": None, "delta_max": 0}
+        assert run_cli("stats", "--dataset", str(dataset), "--format", "text") == 0
+        assert "delta_avg undefined" in " ".join(capsys.readouterr().out.split())
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = run_cli("stats", "--dataset", str(tmp_path / "nope"))
         assert code == 2
@@ -833,7 +846,8 @@ TOY_RANK_LINES = [b"d\tr1\tb\thead\t3", b"d\tr1\tb\ttail\t1",
 def _mutate_rank_lines(lines: list[bytes], data) -> list[bytes]:
     """One hostile edit of a rank file, drawn by Hypothesis."""
     kind = data.draw(st.sampled_from([
-        "truncate", "fields", "rank", "direction", "0xff", "bom", "duplicate", "empty"]))
+        "truncate", "fields", "rank", "direction", "empty-label", "0xff", "bom", "duplicate",
+        "empty"]))
     if kind == "empty" or not lines:
         return []
     i = data.draw(st.integers(0, len(lines) - 1))
@@ -849,6 +863,9 @@ def _mutate_rank_lines(lines: list[bytes], data) -> list[bytes]:
         lines[i] = b"\t".join(fields)
     elif kind == "direction" and len(fields) == 5:
         fields[3] = data.draw(st.sampled_from([b"Head", b"both", b""]))
+        lines[i] = b"\t".join(fields)
+    elif kind == "empty-label" and len(fields) == 5:
+        fields[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([b"", b" ", b"  "]))
         lines[i] = b"\t".join(fields)
     elif kind == "0xff":
         at = data.draw(st.integers(0, len(lines[i])))

@@ -203,9 +203,9 @@ class TestDatasetStats:
     def test_degenerate_empty_graph(self):
         g = build_graph([], [], [])
         stats = dataset_stats(g, compute_popularity(g))
-        assert stats.delta_avg == 0.0
-        assert not stats.delta_avg_defined
-        assert stats.to_json_dict()["delta_avg_defined"] is False
+        assert stats == DatasetStats(0, 0, 0, None, 0)
+        assert stats.to_json_dict()["delta_avg"] is None
+        assert "undefined" in stats.to_text()
 
     def test_avg_times_entities_is_total_mass(self, toy_dataset):
         g, pop = load_dataset(toy_dataset)

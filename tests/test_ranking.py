@@ -176,6 +176,13 @@ class TestRankOfGold:
         with pytest.raises(ValidationError):
             TiePolicy("middle")
 
+    def test_policy_is_a_value(self):
+        """Two policies with the same fields are equal, and the repr names both."""
+        tie = TiePolicy("random", seed=7)
+        assert tie == TiePolicy("random", seed=7)
+        assert tie != TiePolicy("random", seed=8)
+        assert repr(tie) == "TiePolicy(policy='random', seed=7)"
+
     @given(data=st.data())
     @settings(max_examples=120)
     def test_matches_brute_force_oracle(self, data):
@@ -256,6 +263,18 @@ class TestRankFileIO:
         path = tmp_path / "r.tsv"
         path.write_text("a\tr\tb\tboth\t3\n", encoding="utf-8")
         with pytest.raises(ParseError, match="direction"):
+            load_rank_file(path)
+
+    @pytest.mark.parametrize("field", range(3), ids=["head", "relation", "tail"])
+    def test_empty_label_rejected(self, tmp_path, field):
+        """A label that is empty after trimming is a parse error, as in a triple file."""
+        labels = ["a", "r", "b"]
+        labels[field] = " "
+        path = tmp_path / "r.tsv"
+        path.write_text("a\tr\tb\thead\t1\n" + "\t".join(labels) + "\ttail\t3\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match=r"r\.tsv:2: empty field after whitespace trimming$"):
             load_rank_file(path)
 
     def test_non_integer_rank_rejected(self, tmp_path):

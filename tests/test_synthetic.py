@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import make_records
 from probe_eval.errors import ValidationError
 from probe_eval.metrics import MetricConfig, probe_score
-from probe_eval.synthetic import (ExplicitProfile, MixtureProfile,
-                                  PopularityRule, PopularityStratum, generate,
-                                  load_profile, oracle_probe, profile_from_dict)
+from probe_eval.synthetic import (ExplicitProfile, MixtureProfile, PopularityStratum,
+                                  generate, load_profile, oracle_probe,
+                                  profile_from_dict)
 
 
 class TestExplicitProfile:
@@ -39,7 +39,7 @@ class TestExplicitProfile:
         """Ranks and popularities are held in int64 columns."""
         for make in (lambda: ExplicitProfile(ranks=(2 ** 63,)),
                      lambda: ExplicitProfile(ranks=(1,), popularities=(2 ** 63,)),
-                     lambda: PopularityRule(low=0, high=2 ** 63),
+                     lambda: PopularityStratum(low=0, high=2 ** 63),
                      lambda: MixtureProfile(p1=0.5, tail_rate=0.5, n_entities=2 ** 63)):
             with pytest.raises(ValidationError, match=r"< 2\*\*63"):
                 make()
@@ -86,8 +86,8 @@ class TestMixtureProfile:
         profile = MixtureProfile(
             p1=0.5, tail_rate=0.2, n_entities=50,
             popularity_model=(
-                PopularityStratum(rule=PopularityRule(constant=1000), max_rank=1),
-                PopularityStratum(rule=PopularityRule(low=2, high=5)),
+                PopularityStratum(constant=1000, max_rank=1),
+                PopularityStratum(low=2, high=5),
             ))
         table = generate(profile, 1000, seed=11)
         for rank, popularity in zip(table.ranks.tolist(), table.pops.tolist()):
@@ -106,17 +106,15 @@ class TestMixtureProfile:
             MixtureProfile(
                 p1=0.5, tail_rate=0.2, n_entities=50,
                 popularity_model=(
-                    PopularityStratum(rule=PopularityRule(constant=1), max_rank=5),
-                    PopularityStratum(rule=PopularityRule(constant=2), max_rank=1),
+                    PopularityStratum(constant=1, max_rank=5),
+                    PopularityStratum(constant=2, max_rank=1),
                 ))
 
 
 class TestDeterminism:
     def test_same_seed_same_records(self):
         profile = MixtureProfile(p1=0.4, tail_rate=0.3, n_entities=200,
-                                 popularity_model=(
-                                     PopularityStratum(
-                                         rule=PopularityRule(low=0, high=9)),))
+                                 popularity_model=(PopularityStratum(low=0, high=9),))
         a = generate(profile, 500, seed=77)
         b = generate(profile, 500, seed=77)
         assert a.ranks.tolist() == b.ranks.tolist()
@@ -161,8 +159,8 @@ class TestProfileJson:
             ]}), encoding="utf-8")
         profile = load_profile(path)
         assert isinstance(profile, MixtureProfile)
-        assert profile.popularity_model[0].rule.constant == 50
-        assert profile.popularity_model[1].rule.high == 3
+        assert profile.popularity_model == (PopularityStratum(constant=50, max_rank=1),
+                                            PopularityStratum(low=0, high=3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError, match="kind"):
@@ -175,12 +173,13 @@ class TestProfileJson:
             load_profile(path)
 
     def test_rule_shape_validation(self):
-        with pytest.raises(ValidationError):
-            PopularityRule(constant=1, low=0, high=2)
-        with pytest.raises(ValidationError):
-            PopularityRule(low=5, high=2)
-        with pytest.raises(ValidationError):
-            PopularityRule()
+        with pytest.raises(ValidationError,
+                           match=r"^popularity rule is either constant or a range$"):
+            PopularityStratum(constant=1, low=0, high=2)
+        with pytest.raises(ValidationError, match=r"^bad popularity range \[5, 2\]$"):
+            PopularityStratum(low=5, high=2)
+        with pytest.raises(ValidationError, match=r"^range popularity rule needs low and high$"):
+            PopularityStratum()
 
 
 class TestOracle:

@@ -2,13 +2,14 @@
 the package, float reductions go through ``metrics.exact_sum``, PROBE
 scores come only from ``metrics.score_grid``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
-every rank file is read by ``cli._load_models``, and the command-line
-options are pinned."""
+every rank file is read by ``cli._load_models``, every value type is a
+dataclass, and the command-line options are pinned."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import enum
 import importlib
 import importlib.util
 from pathlib import Path
@@ -126,6 +127,25 @@ def test_rank_files_are_read_only_in_load_models():
                           else getattr(func, "id", None))
                 if called == "load_rank_file":
                     stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_value_types_are_dataclasses():
+    """A value type declares its fields once, as a dataclass, which derives its
+    constructor, equality and repr; only exceptions, enums and the argument
+    parser are plain classes."""
+    plain = (Exception, enum.Enum, argparse.ArgumentParser)
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                continue
+            cls = getattr(importlib.import_module(f"probe_eval.{path.stem}"), node.name, None)
+            if not (isinstance(cls, type) and issubclass(cls, plain)):
+                stray.append(f"{path.name}:{node.name}")
     assert stray == []
 
 
