@@ -2,19 +2,20 @@
 
 The on-disk convention is the 3-column TSV used by the FB15k237 / WN18RR
 distributions: ``head<TAB>relation<TAB>tail``, UTF-8, one triple per line,
-LF or CRLF.  Labels are opaque byte strings compared exactly.
+LF, CRLF or CR.  Labels are opaque byte strings compared exactly.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
+from itertools import count
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, open_text
+from .errors import read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -24,41 +25,59 @@ SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")  # a dataset directory's la
 
 
 def load_split(path: str | Path) -> list[Labels]:
-    """Parse one triple file into (head, relation, tail) label tuples.
+    """Parse one triple file into (head, relation, tail) label tuples, as
+    load_dataset reads a split: blank lines skipped, repeated triples dropped."""
+    entities, relations, (rows,) = _ids([(columns for columns, _ in read_rows(path, 3))], [path])
+    return [(entities[h], relations[r], entities[t]) for h, r, t in rows.tolist()]
 
-    Empty lines are skipped; exact duplicate triples are dropped with a
-    warning count, keeping the first occurrence in file order.  This is
-    the only place triples are deduplicated.  A line with the wrong field
-    count or an empty field raises ParseError naming the line number.
+
+def _ids(splits: Iterable[Iterable[Sequence[Sequence[str]]]],
+         paths: Sequence[str | Path] | None = None
+         ) -> tuple[list[str], list[str], list[np.ndarray]]:
+    """Labels in first-appearance order and the id rows of splits given as chunks
+    of (heads, relations, tails) columns.
+
+    A label's code is the position of its first occurrence (heads and tails
+    interleaved), made a dense id by one gather per split; a label's id does
+    not change when later splits add labels.  With `paths`, a split's repeated
+    triples are dropped, with a warning naming its path, as soon as it is read.
     """
-    path = Path(path)
-    triples: dict[Labels, None] = {}
-    read = 0
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}",
-                    path=str(path),
-                    line=lineno,
-                )
-            key = (parts[0].strip(), parts[1].strip(), parts[2].strip())
-            if not all(key):
-                raise ParseError(
-                    "empty field after whitespace trimming",
-                    path=str(path),
-                    line=lineno,
-                )
-            triples[key] = None
-            read += 1
-    dropped = read - len(triples)
-    if dropped:
-        logger.warning("%s: dropped %d duplicate triple line(s)", path, dropped)
-    return list(triples)
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    rows = []
+    done = 0  # triples coded so far
+    for i, chunks in enumerate(splits):
+        pairs, rels = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for heads, relation, tails in chunks:
+            n = len(heads)
+            stream = [""] * (2 * n)
+            stream[0::2], stream[1::2] = heads, tails
+            pairs.append(np.fromiter(map(entities.setdefault, stream, count(2 * done)),
+                                     np.int64, 2 * n))
+            rels.append(np.fromiter(map(relations.setdefault, relation, count(done)),
+                                    np.int64, n))
+            done += n
+        entity_id, relation_id = np.zeros(2 * done, np.int64), np.zeros(done, np.int64)
+        for dense, labels in ((entity_id, entities), (relation_id, relations)):
+            dense[np.fromiter(labels.values(), np.int64, len(labels))] = np.arange(len(labels))
+        pairs = entity_id[np.concatenate(pairs)]
+        split = np.column_stack((pairs[0::2], relation_id[np.concatenate(rels)], pairs[1::2]))
+        rows.append(split if paths is None else
+                    _drop_repeats(split, len(entities), len(relations), paths[i]))
+    return list(entities), list(relations), rows
+
+
+def _drop_repeats(rows: np.ndarray, n_entities: int, n_relations: int,
+                  path: str | Path) -> np.ndarray:
+    """Keep each id triple's first row, warning with the number dropped."""
+    key = (rows[:, 0] * n_relations + rows[:, 1]) * n_entities + rows[:, 2]
+    # the int64 key is fast; whole rows, compared when it could wrap, are exact but slower
+    _, first = np.unique(key if n_entities ** 2 * n_relations < 2 ** 63 else rows,
+                         return_index=True, axis=0)
+    if len(first) < len(rows):
+        logger.warning("%s: dropped %d duplicate triple line(s)", path, len(rows) - len(first))
+        rows = rows[np.sort(first)]
+    return rows
 
 
 @dataclass(eq=False, repr=False)  # array fields; a large vocabulary would print in full
@@ -96,22 +115,11 @@ def build_graph(train: Sequence[Labels], valid: Sequence[Labels],
                 test: Sequence[Labels]) -> KnowledgeGraph:
     """Build vocabularies over all splits and store each split by id.
 
-    The splits are taken as given: load_split has already dropped
-    duplicate triples.
+    The splits are taken as given, repeated triples included.
     """
-    entity_ids: dict[str, int] = {}
-    relation_ids: dict[str, int] = {}
-    # setdefault(label, len(ids)) hands an unseen label the next dense id
-    entity = entity_ids.setdefault
-    relation = relation_ids.setdefault
-    split_arrays = [
-        np.fromiter((i for h, r, t in triples
-                     for i in (entity(h, len(entity_ids)),
-                               relation(r, len(relation_ids)),
-                               entity(t, len(entity_ids)))),
-                    dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
-        for triples in (train, valid, test)]
-    return KnowledgeGraph(list(entity_ids), list(relation_ids), *split_arrays)
+    entities, relations, splits = _ids([tuple(zip(*split))] if len(split) else []
+                                       for split in (train, valid, test))
+    return KnowledgeGraph(entities, relations, *splits)
 
 
 def compute_popularity(graph: KnowledgeGraph) -> np.ndarray:
@@ -170,9 +178,16 @@ def dataset_stats(graph: KnowledgeGraph, pop: np.ndarray) -> DatasetStats:
 
 
 def load_dataset(directory: str | Path) -> tuple[KnowledgeGraph, np.ndarray]:
-    """Load a directory's SPLIT_FILES (train, valid, test) and count popularity."""
-    directory = Path(directory)
-    graph = build_graph(*(load_split(directory / name) for name in SPLIT_FILES))
+    """Load a directory's SPLIT_FILES (train, valid, test) and count popularity.
+
+    The files are read a chunk at a time and keep no label past its chunk.
+    A triple repeated within one split is kept at its first line, with a
+    warning count.
+    """
+    paths = [Path(directory) / name for name in SPLIT_FILES]
+    entities, relations, splits = _ids(((columns for columns, _ in read_rows(path, 3))
+                                        for path in paths), paths)
+    graph = KnowledgeGraph(entities, relations, *splits)
     return graph, compute_popularity(graph)
 
 

@@ -20,7 +20,7 @@ from typing import Collection, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, open_text
+from .errors import ParseError, ValidationError, open_text, read_rows
 from .kg_data import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
@@ -273,7 +273,8 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
 
     Gold popularity is looked up through the graph vocabulary; entities
     unknown to it get popularity 0 (one summary warning).  An empty label
-    and a query that appears on two lines are rejected.
+    and a query that appears on two lines are rejected.  The file is read
+    a chunk at a time, and an error names its first faulty line.
     """
     path = Path(path)
     keys: list[str] = []
@@ -281,19 +282,8 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
     gold_ids: list[int] = []
     first_line: dict[str, int] = {}
     entity_ids = graph.entity_ids if graph is not None else {}
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ParseError(f"expected 5 tab-separated fields, got {len(parts)}",
-                                 path=str(path), line=lineno)
-            head, relation, tail, direction, rank_text = (p.strip() for p in parts)
-            if not (head and relation and tail):
-                raise ParseError("empty field after whitespace trimming",
-                                 path=str(path), line=lineno)
+    for columns, numbers in read_rows(path, 5):
+        for head, relation, tail, direction, rank_text, lineno in zip(*columns, numbers.tolist()):
             if direction not in _DIRECTIONS:
                 raise ParseError(_DIRECTION_ERROR.format(direction), path=path, line=lineno)
             # int() alone would also read "1_0", "+2" and non-ASCII digits

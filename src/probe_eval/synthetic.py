@@ -154,10 +154,13 @@ def profile_from_dict(data: dict) -> RankProfile:
             return ExplicitProfile(ranks=tuple(data["ranks"]),
                                    popularities=tuple(pops) if pops is not None else None)
         if kind == "mixture":
+            model = data.get("popularity_model", [])
+            if not (isinstance(model, list) and all(isinstance(entry, dict) for entry in model)):
+                raise ValidationError("popularity_model must be a list of objects")
             strata = tuple(
                 PopularityStratum(constant=entry.get("constant"), low=entry.get("low"),
                                   high=entry.get("high"), max_rank=entry.get("max_rank"))
-                for entry in data.get("popularity_model", []))
+                for entry in model)
             return MixtureProfile(p1=data["p1"], tail_rate=data["tail_rate"],
                                   n_entities=data["n_entities"], popularity_model=strata)
     except KeyError as exc:

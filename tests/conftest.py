@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from probe_eval.errors import ParseError, ValidationError, open_text
 from probe_eval.ranking import RankTable
 
 
@@ -67,17 +71,18 @@ def brute_force_rank(scores: np.ndarray, gold: int, filter_ids: set[int],
 def reference_load_dataset(directory, names=("train.txt", "valid.txt", "test.txt")):
     """Naive dataset oracle: vocabularies, split id rows, train popularity.
 
-    Independent of kg_data: each split's lines go into a dict keyed by the
-    trimmed labels (dropping repeats), ids are handed out in first-appearance
-    order, and popularity is counted triple by triple.
+    Independent of kg_data: a leading byte-order mark is dropped, CRLF and
+    lone CR become LF, each split's lines go into a dict keyed by the trimmed
+    labels (dropping repeats), ids are handed out in first-appearance order,
+    and popularity is counted triple by triple.
     """
     entities: dict[str, int] = {}
     relations: dict[str, int] = {}
     splits = []
     for name in names:
-        text = (directory / name).read_bytes().decode("utf-8")
+        text = (directory / name).read_bytes().decode("utf-8-sig")
         triples: dict[tuple[str, str, str], None] = {}
-        for line in text.replace("\r\n", "\n").split("\n"):
+        for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
             if line.strip():
                 head, relation, tail = (label.strip() for label in line.split("\t"))
                 triples[(head, relation, tail)] = None
@@ -94,6 +99,88 @@ def reference_load_dataset(directory, names=("train.txt", "valid.txt", "test.txt
         if tail != head:
             popularity[tail] += 1
     return list(entities), list(relations), splits, popularity
+
+
+def reference_load_split(path):
+    """Per-line triple-file oracle: the loop load_split ran before files were
+    read in chunks.  Same labels, same warning, same error for the same line."""
+    path = Path(path)
+    triples: dict[tuple[str, str, str], None] = {}
+    read = 0
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(
+                    f"expected 3 tab-separated fields, got {len(parts)}",
+                    path=str(path),
+                    line=lineno,
+                )
+            key = (parts[0].strip(), parts[1].strip(), parts[2].strip())
+            if not all(key):
+                raise ParseError(
+                    "empty field after whitespace trimming",
+                    path=str(path),
+                    line=lineno,
+                )
+            triples[key] = None
+            read += 1
+    dropped = read - len(triples)
+    if dropped:
+        logging.getLogger("probe_eval.kg_data").warning(
+            "%s: dropped %d duplicate triple line(s)", path, dropped)
+    return list(triples)
+
+
+def reference_load_rank_file(path, graph=None, popularity=None) -> RankTable:
+    """Per-line rank-file oracle: the loop load_rank_file ran before files were
+    read in chunks.  Each line's checks run in order, and the first fails."""
+    path = Path(path)
+    keys: list[str] = []
+    ranks: list[int] = []
+    gold_ids: list[int] = []
+    first_line: dict[str, int] = {}
+    entity_ids = graph.entity_ids if graph is not None else {}
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise ParseError(f"expected 5 tab-separated fields, got {len(parts)}",
+                                 path=str(path), line=lineno)
+            head, relation, tail, direction, rank_text = (p.strip() for p in parts)
+            if not (head and relation and tail):
+                raise ParseError("empty field after whitespace trimming",
+                                 path=str(path), line=lineno)
+            if direction not in ("head", "tail"):
+                raise ParseError(f"direction must be 'head' or 'tail', got {direction!r}",
+                                 path=path, line=lineno)
+            if not (rank_text.isascii() and rank_text.isdigit()):
+                raise ParseError(f"rank is not an integer: {rank_text!r}",
+                                 path=str(path), line=lineno)
+            rank = int(rank_text)
+            if not 1 <= rank < 2 ** 63:
+                raise ValidationError(f"rank must be >= 1 and < 2**63, got {rank}",
+                                      path=path, line=lineno)
+            key = f"{head}\t{relation}\t{tail}\t{direction}"
+            first = first_line.setdefault(key, lineno)
+            if first != lineno:
+                raise ValidationError(
+                    f"duplicate query {(head, relation, tail, direction)} repeats line {first}",
+                    path=path, line=lineno)
+            keys.append(key)
+            ranks.append(rank)
+            gold_ids.append(entity_ids.get(head if direction == "head" else tail, -1))
+    ids = np.array(gold_ids, dtype=np.int64)
+    pops = np.zeros(len(keys), dtype=np.int64)
+    if popularity is not None:
+        pops[ids >= 0] = popularity[ids[ids >= 0]]
+    return RankTable(keys, np.array(ranks, dtype=np.int64), pops)
 
 
 @pytest.fixture

@@ -507,6 +507,23 @@ class TestDispatch:
                 f"WARNING {train}: dropped 1 duplicate triple line(s)\n"
         assert logging.getLogger("probe_eval").handlers == handlers
 
+    @pytest.mark.parametrize("fault, category", [("valid-unparsable", "parse"),
+                                                 ("test-missing", "io")])
+    def test_duplicate_warning_printed_before_a_later_split_fails(self, toy_dataset, capsys,
+                                                                  fault, category):
+        """Each split is checked for repeats as soon as it is read."""
+        train = toy_dataset / "train.txt"
+        train.write_text(train.read_text() + "a\tr1\tb\n", encoding="utf-8")
+        if fault == "valid-unparsable":
+            (toy_dataset / "valid.txt").write_text("a\tr1\n", encoding="utf-8")
+        else:
+            (toy_dataset / "test.txt").unlink()
+        assert run_cli("stats", "--dataset", str(toy_dataset)) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2, err
+        assert err[0] == f"WARNING {train}: dropped 1 duplicate triple line(s)"
+        assert err[1].startswith(f"error[{category}]:"), err
+
     def test_threads_validated(self, toy_dataset, rankfile, capsys):
         assert run_cli("eval", "--ranks", str(rankfile),
                        "--dataset", str(toy_dataset), "--threads", "0") == 1
@@ -723,6 +740,15 @@ class TestHostileInputs:
         assert run_cli("synth", "--profile", path, "--n", "3", "--seed", "0",
                        "--out", str(tmp_path / "o.tsv")) == 1
         single_error_line(capsys, "validation")
+
+    @pytest.mark.parametrize("model", [[[1]], 5], ids=["list-of-lists", "number"])
+    def test_popularity_model_not_a_list_of_objects(self, tmp_path, capsys, model):
+        path = write_profile(tmp_path / "p.json", {"kind": "mixture", "p1": 0.5, "tail_rate": 0.1,
+                                                   "n_entities": 10, "popularity_model": model})
+        assert run_cli("synth", "--profile", path, "--n", "3", "--seed", "0",
+                       "--out", str(tmp_path / "o.tsv")) == 1
+        assert single_error_line(capsys, "validation") == (
+            "error[validation]: popularity_model must be a list of objects")
 
     @pytest.mark.parametrize("profile", [
         {"kind": "explicit", "ranks": [1.5, 2]},

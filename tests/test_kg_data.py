@@ -117,8 +117,10 @@ class TestBuildGraph:
 
 # One line of a split file: a triple with padded fields, or a blank or
 # whitespace-only line.  Few labels, so duplicates within and across
-# splits and self-loops are common.
-_padding = st.sampled_from(["", " ", "  "])
+# splits and self-loops are common.  str.strip trims NBSP and U+3000 too;
+# U+0085 inside a label ends no line in a text-mode read, though
+# str.splitlines would split there.
+_padding = st.sampled_from(["", " ", "  ", "\u00a0", "\u3000"])
 
 
 def _padded(*labels: str):
@@ -126,13 +128,13 @@ def _padded(*labels: str):
                      _padding, st.sampled_from(labels), _padding)
 
 
-_entity = _padded("e0", "e1", "e2", "e3")
+_entity = _padded("e0", "e1", "e2", "e\u00853")
 _triple_line = st.builds(lambda *fields: "\t".join(fields),
                          _entity, _padded("r0", "r1"), _entity)
-_line = st.one_of(_triple_line, st.sampled_from(["", " ", "\t\t", " \t "]))
-_split_file = st.tuples(st.lists(st.tuples(_line, st.sampled_from(["\n", "\r\n"])),
+_line = st.one_of(_triple_line, st.sampled_from(["", " ", "\t\t", " \t ", "\u3000"]))
+_split_file = st.tuples(st.lists(st.tuples(_line, st.sampled_from(["\n", "\r\n", "\r"])),
                                  max_size=12),
-                        st.booleans())
+                        st.booleans(), st.booleans())
 
 
 class TestLoadDatasetParity:
@@ -141,11 +143,13 @@ class TestLoadDatasetParity:
     def test_matches_reference_loader(self, files):
         with tempfile.TemporaryDirectory() as tmp:
             directory = Path(tmp)
-            for name, (lines, final_newline) in zip(
+            for name, (lines, final_newline, byte_order_mark) in zip(
                     ("train.txt", "valid.txt", "test.txt"), files):
                 text = "".join(line + end for line, end in lines)
                 if lines and not final_newline:
                     text = text[:-len(lines[-1][1])]
+                if byte_order_mark:
+                    text = "\ufeff" + text
                 (directory / name).write_bytes(text.encode("utf-8"))
             graph, pop = load_dataset(directory)
             entities, relations, splits, popularity = reference_load_dataset(directory)

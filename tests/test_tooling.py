@@ -2,8 +2,9 @@
 the package, float reductions go through ``metrics.exact_sum``, PROBE
 scores come only from ``metrics.score_grid``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
-every rank file is read by ``cli._load_models``, every value type is a
-dataclass, and the command-line options are pinned."""
+every rank file is read by ``cli._load_models``, every tab-separated input
+goes through ``errors.read_rows``, every value type is a dataclass, and the
+command-line options are pinned."""
 
 from __future__ import annotations
 
@@ -126,6 +127,25 @@ def test_rank_files_are_read_only_in_load_models():
                 called = (func.attr if isinstance(func, ast.Attribute)
                           else getattr(func, "id", None))
                 if called == "load_rank_file":
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_open_text_is_called_only_in_the_readers():
+    """Triple and rank files are read by read_rows, score files by iter_score_rows
+    and profiles by load_profile, so line ends, byte-order marks, field checks and
+    error line numbers are handled in one place per format."""
+    readers = ("read_rows", "iter_score_rows", "load_profile")
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set().union(*(_nodes_inside(tree, name) for name in readers))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                called = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                if called == "open_text":
                     stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
