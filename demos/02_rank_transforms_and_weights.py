@@ -8,11 +8,16 @@ Weights (epsilon + popularity)**(-beta) then decide how much a prediction
 on a frequent entity is allowed to count.
 """
 
-from probe_eval import rt_affine, rt_raw, weight
+import numpy as np
+
+from probe_eval import rt_affine, rt_raw
+from probe_eval.metrics import popularity_weights
 
 N_ENTITIES = 10_000
 RANKS = (1, 2, 5, 10, 100, 1_000, N_ENTITIES)
 ALPHAS = (0.25, 0.5, 1.0, 2.0)
+BETAS = (0.0, 0.2, 0.4, 0.8)
+POPULARITIES = (0, 1, 10, 100, 1_000, 7_614)
 
 
 def table(title, rows, header):
@@ -37,10 +42,12 @@ def main():
     print("rank 1 is exactly 1.0 and the worst rank exactly 0.0 in every "
           "column: the full [0, 1] range survives any alpha.")
 
+    # scaled so the largest weight, popularity 0's, is 1: each is (1 + d)**(-beta)
+    weights = [popularity_weights(np.array(POPULARITIES), b, 1.0) for b in BETAS]
     table("weights (1 + popularity)**(-beta)",
-          [(f"d={d}", [weight(d, b, 1.0) for b in (0.0, 0.2, 0.4, 0.8)])
-           for d in (0, 1, 10, 100, 1_000, 7_614)],
-          [f"b={b}" for b in (0.0, 0.2, 0.4, 0.8)])
+          [(f"d={d}", [column[i] for column in weights])
+           for i, d in enumerate(POPULARITIES)],
+          [f"b={b}" for b in BETAS])
     print("beta=0 treats every query alike; larger beta discounts "
           "predictions whose gold entity was frequent in training.")
 

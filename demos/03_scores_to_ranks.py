@@ -8,23 +8,29 @@ above the gold one.  Ties are resolved by an explicit policy rather
 than by array order.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from probe_eval import (MetricConfig, RankTable, TiePolicy, build_graph,
-                        compute_popularity, filter_set, make_queries,
-                        probe_score, rank_of_gold)
+from probe_eval import (MetricConfig, RankTable, TiePolicy, filter_set, load_dataset,
+                        make_queries, probe_score, rank_of_gold)
 from probe_eval.ranking import ScoreRow
+
+# a dataset directory's train, valid and test files
+SPLITS = {
+    "train.txt": "anna\tworks_at\tlab\nben\tworks_at\tlab\n"
+                 "cara\tworks_at\tmill\nanna\tknows\tben\n",
+    "valid.txt": "dave\tworks_at\tlab\n",
+    "test.txt": "cara\tknows\tben\nerik\tworks_at\tlab\n",
+}
 
 
 def main():
-    # train, valid and test splits as (head, relation, tail) label tuples
-    graph = build_graph(
-        [("anna", "works_at", "lab"), ("ben", "works_at", "lab"),
-         ("cara", "works_at", "mill"), ("anna", "knows", "ben")],
-        [("dave", "works_at", "lab")],
-        [("cara", "knows", "ben"), ("erik", "works_at", "lab")],
-    )
-    popularity = compute_popularity(graph)
+    with tempfile.TemporaryDirectory(prefix="probe-eval-demo-") as workdir:
+        for name, text in SPLITS.items():
+            (Path(workdir) / name).write_text(text, encoding="utf-8")
+        graph, popularity = load_dataset(workdir)
     queries = make_queries(graph, popularity)
     print(f"{len(graph.test)} test triples -> {len(queries)} masked queries\n")
 

@@ -10,11 +10,11 @@ rank-profile generation for testing and demonstrations.
 __version__ = "0.1.0"
 
 from .errors import ParseError, ValidationError
-from .kg_data import (DatasetStats, KnowledgeGraph, build_graph, compute_popularity,
-                      dataset_stats, export_vocabulary, load_dataset, load_split)
+from .kg_data import (DatasetStats, KnowledgeGraph, compute_popularity, dataset_stats,
+                      export_vocabulary, load_dataset)
 from .metrics import (MetricConfig, Stratum, default_bucket_edges, hits_at_k,
                       mr, mrr, probe_score, rt_affine, rt_raw,
-                      stratified_breakdown, weight)
+                      stratified_breakdown)
 from .ranking import (Direction, Query, RankTable, ScoreRow, TiePolicy,
                       filter_set, load_rank_file, make_queries, rank_of_gold,
                       rank_score_file, write_rank_file)
@@ -28,11 +28,10 @@ __all__ = [
     "__version__",
     "ParseError", "ValidationError",
     "DatasetStats", "KnowledgeGraph",
-    "build_graph", "compute_popularity", "dataset_stats", "export_vocabulary",
-    "load_dataset", "load_split",
+    "compute_popularity", "dataset_stats", "export_vocabulary", "load_dataset",
     "MetricConfig", "Stratum", "default_bucket_edges",
     "hits_at_k", "mr", "mrr", "probe_score", "rt_affine", "rt_raw",
-    "stratified_breakdown", "weight",
+    "stratified_breakdown",
     "Direction", "Query", "RankTable", "ScoreRow", "TiePolicy",
     "filter_set", "load_rank_file", "make_queries", "rank_of_gold",
     "rank_score_file", "write_rank_file",

@@ -11,7 +11,7 @@ import logging
 from dataclasses import asdict, dataclass
 from itertools import count
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,36 +19,25 @@ from .errors import read_rows
 
 logger = logging.getLogger(__name__)
 
-Labels = tuple[str, str, str]  # (head, relation, tail)
-
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")  # a dataset directory's layout
 
 
-def load_split(path: str | Path) -> list[Labels]:
-    """Parse one triple file into (head, relation, tail) label tuples, as
-    load_dataset reads a split: blank lines skipped, repeated triples dropped."""
-    entities, relations, (rows,) = _ids([(columns for columns, _ in read_rows(path, 3))], [path])
-    return [(entities[h], relations[r], entities[t]) for h, r, t in rows.tolist()]
+def _ids(paths: Sequence[str | Path]) -> tuple[dict[str, int], dict[str, int], list[np.ndarray]]:
+    """Entity and relation label->id maps plus the id rows of each split file.
 
-
-def _ids(splits: Iterable[Iterable[Sequence[Sequence[str]]]],
-         paths: Sequence[str | Path] | None = None
-         ) -> tuple[list[str], list[str], list[np.ndarray]]:
-    """Labels in first-appearance order and the id rows of splits given as chunks
-    of (heads, relations, tails) columns.
-
-    A label's code is the position of its first occurrence (heads and tails
-    interleaved), made a dense id by one gather per split; a label's id does
-    not change when later splits add labels.  With `paths`, a split's repeated
+    Ids are dense, in first-appearance order.  While the splits are read, a
+    label's value is the position of its first occurrence (heads and tails
+    interleaved), made a dense id by one gather per split, so a label's id
+    does not change when later splits add labels.  A split's repeated
     triples are dropped, with a warning naming its path, as soon as it is read.
     """
     entities: dict[str, int] = {}
     relations: dict[str, int] = {}
     rows = []
     done = 0  # triples coded so far
-    for i, chunks in enumerate(splits):
+    for path in paths:
         pairs, rels = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        for heads, relation, tails in chunks:
+        for (heads, relation, tails), _ in read_rows(path, 3):
             n = len(heads)
             stream = [""] * (2 * n)
             stream[0::2], stream[1::2] = heads, tails
@@ -62,9 +51,10 @@ def _ids(splits: Iterable[Iterable[Sequence[Sequence[str]]]],
             dense[np.fromiter(labels.values(), np.int64, len(labels))] = np.arange(len(labels))
         pairs = entity_id[np.concatenate(pairs)]
         split = np.column_stack((pairs[0::2], relation_id[np.concatenate(rels)], pairs[1::2]))
-        rows.append(split if paths is None else
-                    _drop_repeats(split, len(entities), len(relations), paths[i]))
-    return list(entities), list(relations), rows
+        rows.append(_drop_repeats(split, len(entities), len(relations), path))
+    for labels in (entities, relations):
+        labels.update(zip(labels, range(len(labels))))  # positions -> dense ids; no key is added
+    return entities, relations, rows
 
 
 def _drop_repeats(rows: np.ndarray, n_entities: int, n_relations: int,
@@ -90,15 +80,15 @@ class KnowledgeGraph:
     and score-row indices stay stable.
     """
 
-    entity_labels: list[str]
-    relation_labels: list[str]
+    entity_ids: dict[str, int]  # label -> id, in id order
+    relation_ids: dict[str, int]
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
 
     def __post_init__(self):
-        self.entity_ids = {label: i for i, label in enumerate(self.entity_labels)}
-        self.relation_ids = {label: i for i, label in enumerate(self.relation_labels)}
+        self.entity_labels = list(self.entity_ids)
+        self.relation_labels = list(self.relation_ids)
         # lazily built (known entity, relation) -> candidate index; see ranking.filter_set
         self._filter_index = None
 
@@ -109,17 +99,6 @@ class KnowledgeGraph:
     @property
     def n_relations(self) -> int:
         return len(self.relation_labels)
-
-
-def build_graph(train: Sequence[Labels], valid: Sequence[Labels],
-                test: Sequence[Labels]) -> KnowledgeGraph:
-    """Build vocabularies over all splits and store each split by id.
-
-    The splits are taken as given, repeated triples included.
-    """
-    entities, relations, splits = _ids([tuple(zip(*split))] if len(split) else []
-                                       for split in (train, valid, test))
-    return KnowledgeGraph(entities, relations, *splits)
 
 
 def compute_popularity(graph: KnowledgeGraph) -> np.ndarray:
@@ -184,9 +163,7 @@ def load_dataset(directory: str | Path) -> tuple[KnowledgeGraph, np.ndarray]:
     A triple repeated within one split is kept at its first line, with a
     warning count.
     """
-    paths = [Path(directory) / name for name in SPLIT_FILES]
-    entities, relations, splits = _ids(((columns for columns, _ in read_rows(path, 3))
-                                        for path in paths), paths)
+    entities, relations, splits = _ids([Path(directory) / name for name in SPLIT_FILES])
     graph = KnowledgeGraph(entities, relations, *splits)
     return graph, compute_popularity(graph)
 

@@ -99,17 +99,6 @@ def rt_affine(rank: int, alpha: float, n_entities: int) -> float:
     return (rt_raw(rank, alpha) - 1.0) / denom + 1.0
 
 
-def weight(delta: int, beta: float, epsilon: float) -> float:
-    """Popularity weight (epsilon + delta)**(-beta); strictly positive."""
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    if beta < 0:
-        raise ValidationError(f"beta must be >= 0, got {beta}")
-    if delta < 0:
-        raise ValidationError(f"popularity must be >= 0, got {delta}")
-    return (epsilon + delta) ** -beta
-
-
 def popularity_weights(pops: np.ndarray, beta: float, epsilon: float) -> np.ndarray:
     """Popularity weights scaled so the largest is exactly 1.
 

@@ -290,10 +290,12 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
             if not (rank_text.isascii() and rank_text.isdigit()):
                 raise ParseError(f"rank is not an integer: {rank_text!r}",
                                  path=str(path), line=lineno)
-            rank = int(rank_text)
-            if not 1 <= rank < 2 ** 63:  # ranks are held as int64
-                raise ValidationError(f"rank must be >= 1 and < 2**63, got {rank}",
-                                      path=path, line=lineno)
+            # int() refuses over 4,300 digits, leading zeros included; ranks are int64
+            if len(rank_text) > 19:
+                rank_text = rank_text.lstrip("0") or "0"
+            if len(rank_text) > 19 or not 1 <= (rank := int(rank_text)) < 2 ** 63:
+                raise ValidationError("rank must be >= 1 and < 2**63, got "
+                                      f"{rank_text.lstrip('0') or 0}", path=path, line=lineno)
             key = f"{head}\t{relation}\t{tail}\t{direction}"
             first = first_line.setdefault(key, lineno)
             if first != lineno:
@@ -333,8 +335,8 @@ def iter_score_rows(path: str | Path,
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}",
+            except ValueError as exc:  # int() refuses over 4,300 digits: no .msg
+                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                                  path=str(path), line=lineno) from None
             try:
                 head, relation, tail = obj["head"], obj["relation"], obj["tail"]

@@ -172,10 +172,12 @@ def profile_from_dict(data: dict) -> RankProfile:
 
 def load_profile(path: str | Path) -> RankProfile:
     with open_text(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid profile JSON: {exc.msg}", path=path) from None
+        text = handle.read()  # a decoding error is open_text's ParseError
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # int() refuses over 4,300 digits: no .msg
+        raise ValidationError(f"invalid profile JSON: {getattr(exc, 'msg', exc)}",
+                              path=path) from None
     return profile_from_dict(data)
 
 

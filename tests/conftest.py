@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import logging
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from probe_eval.errors import ParseError, ValidationError, open_text
+from probe_eval.kg_data import SPLIT_FILES, load_dataset
 from probe_eval.ranking import RankTable
 
 
@@ -33,6 +35,28 @@ def make_records(ranks, pops=None, index=None) -> RankTable:
     pops = [0] * len(ranks) if pops is None else pops
     return RankTable([f"h{i}\tr\tt{i}\ttail" for i in index],
                      np.array(ranks, dtype=np.int64), np.array(pops, dtype=np.int64))
+
+
+def dataset_of(train=(), valid=(), test=()):
+    """load_dataset's (graph, popularity) for splits given as (head, relation,
+    tail) label triples, written as split files in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, triples in zip(SPLIT_FILES, (train, valid, test)):
+            (Path(tmp) / name).write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples),
+                                          encoding="utf-8")
+        return load_dataset(tmp)
+
+
+def load_train_split(path):
+    """The triples of `path`, a dataset's train.txt, as load_dataset reads them,
+    as (head, relation, tail) labels.  Empty valid and test files are written
+    beside it."""
+    path = Path(path)
+    for name in SPLIT_FILES[1:]:
+        (path.parent / name).write_bytes(b"")
+    graph, _ = load_dataset(path.parent)
+    return [(graph.entity_labels[h], graph.relation_labels[r], graph.entity_labels[t])
+            for h, r, t in graph.train.tolist()]
 
 
 def brute_force_rank(scores: np.ndarray, gold: int, filter_ids: set[int],
@@ -102,7 +126,7 @@ def reference_load_dataset(directory, names=("train.txt", "valid.txt", "test.txt
 
 
 def reference_load_split(path):
-    """Per-line triple-file oracle: the loop load_split ran before files were
+    """Per-line triple-file oracle: the loop that read one split before files were
     read in chunks.  Same labels, same warning, same error for the same line."""
     path = Path(path)
     triples: dict[tuple[str, str, str], None] = {}

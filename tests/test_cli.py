@@ -792,6 +792,39 @@ class TestHostileInputs:
         assert math.isfinite(probe) and 0.0 <= probe <= 1.0
 
 
+# int() refuses integers over 4,300 digits, so json.dumps cannot write one:
+# _dumps writes this placeholder string as a 5,001-digit integer
+HUGE_INT = "<5,001-digit integer>"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value).replace(json.dumps(HUGE_INT), "1" + "0" * 5000)
+
+
+@pytest.mark.parametrize("command", ["rank", "eval", "synth"])
+def test_integers_over_the_digit_limit_are_one_error_line(toy_dataset, tmp_path, capsys,
+                                                           command):
+    """A 5,001-digit score, rank or profile rank is one error line, not a traceback."""
+    path = tmp_path / "input"
+    if command == "rank":
+        rows = [dict(row, scores=[HUGE_INT, *row["scores"][1:]]) for row in TOY_SCORE_ROWS]
+        path.write_text("".join(_dumps(row) + "\n" for row in rows), encoding="utf-8")
+        argv = ["--scores", str(path), "--dataset", str(toy_dataset)]
+        category, message = "parse", "input:1: invalid JSON: Exceeds the limit (4300 digits)"
+    elif command == "eval":
+        path.write_text(f"d\tr1\tb\thead\t1{'0' * 5000}\n", encoding="utf-8")
+        argv = ["--ranks", str(path), "--dataset", str(toy_dataset)]
+        category = "validation"
+        message = f"input:1: rank must be >= 1 and < 2**63, got 1{'0' * 5000}"
+    else:
+        path.write_text(_dumps({"kind": "explicit", "ranks": [HUGE_INT]}), encoding="utf-8")
+        argv = ["--profile", str(path), "--n", "1", "--seed", "0"]
+        category, message = "validation", "input: invalid profile JSON: Exceeds the limit (4300"
+    assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == 1
+    assert message in single_error_line(capsys, category)
+    assert not (tmp_path / "out").exists()
+
+
 def _mutate_score_lines(lines: list[bytes], data) -> tuple[list[bytes], str]:
     """One hostile edit of a JSON-lines score file, drawn by Hypothesis."""
     kind = data.draw(st.sampled_from([
@@ -824,9 +857,10 @@ def _mutate_score_lines(lines: list[bytes], data) -> tuple[list[bytes], str]:
         else:
             scores[data.draw(st.integers(0, len(scores) - 1))] = (
                 data.draw(st.booleans()) if kind == "bool" else
-                {"nan": float("nan"), "null": None, "string": "high", "numeric-string": "0.1",
-                 "huge-int": 10 ** 400}[kind])
-        lines[i] = json.dumps(row).encode("utf-8")
+                data.draw(st.sampled_from([10 ** 400, HUGE_INT])) if kind == "huge-int" else
+                {"nan": float("nan"), "null": None, "string": "high",
+                 "numeric-string": "0.1"}[kind])
+        lines[i] = _dumps(row).encode("utf-8")
     return lines, kind
 
 
@@ -885,7 +919,8 @@ def _mutate_rank_lines(lines: list[bytes], data) -> list[bytes]:
         lines[i] = b"\t".join(fields[:-1] if data.draw(st.booleans()) else fields + [b"x"])
     elif kind == "rank" and len(fields) == 5:
         fields[4] = data.draw(st.sampled_from([b"0", b"-3", b"2.5", b"1e3", b"x", b"", b"9" * 20,
-                                                b"1_0", b"+2", "\u0661".encode()]))
+                                                b"1_0", b"+2", "\u0661".encode(), b"9" * 5000,
+                                                b"0" * 5000 + b"7"]))
         lines[i] = b"\t".join(fields)
     elif kind == "direction" and len(fields) == 5:
         fields[3] = data.draw(st.sampled_from([b"Head", b"both", b""]))
@@ -1021,7 +1056,7 @@ def test_fuzzed_triple_files_keep_the_stats_contract(fuzz_dir, data):
 def _hostile(data):
     """A JSON value of the wrong kind for most profile fields."""
     return data.draw(st.one_of(
-        st.booleans(), st.none(), st.floats(), st.integers(-3, 3),
+        st.booleans(), st.none(), st.floats(), st.integers(-3, 3), st.just(HUGE_INT),
         st.sampled_from(["7", "", [], {}, [1, "2"], 2 ** 63, 10 ** 400])))
 
 
@@ -1059,7 +1094,7 @@ def _fuzzed_profile(data):
 def _synth_contract(fuzz_dir, profile, n) -> tuple[int, str]:
     """Run synth; exit 0, 1 or 2, at most one error[...] line, no traceback."""
     path = fuzz_dir / "profile.json"
-    path.write_text(json.dumps(profile), encoding="utf-8")
+    path.write_text(_dumps(profile), encoding="utf-8")
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = dispatch(["synth", "--profile", str(path), "--n", str(n),

@@ -11,63 +11,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_load_dataset
+from conftest import dataset_of, load_train_split, reference_load_dataset
 from probe_eval.errors import ParseError
-from probe_eval.kg_data import (DatasetStats, build_graph, compute_popularity,
-                                dataset_stats, export_vocabulary, load_dataset,
-                                load_split)
+from probe_eval.kg_data import (DatasetStats, dataset_stats, export_vocabulary,
+                                load_dataset)
 
 
 class TestLoadSplit:
     def test_two_line_file(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text("a\tr1\tb\nb\tr1\tc\n", encoding="utf-8")
-        assert load_split(path) == [("a", "r1", "b"), ("b", "r1", "c")]
+        assert load_train_split(path) == [("a", "r1", "b"), ("b", "r1", "c")]
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text("", encoding="utf-8")
-        assert len(load_split(path)) == 0
+        assert len(load_train_split(path)) == 0
 
     def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text("\na\tr\tb\n\n  \n", encoding="utf-8")
-        assert len(load_split(path)) == 1
+        assert len(load_train_split(path)) == 1
 
     def test_crlf_accepted(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_bytes(b"a\tr\tb\r\nb\tr\tc\r\n")
-        assert load_split(path) == [("a", "r", "b"), ("b", "r", "c")]
+        assert load_train_split(path) == [("a", "r", "b"), ("b", "r", "c")]
 
     def test_duplicates_dropped_with_count(self, tmp_path, caplog):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text("a\tr\tb\na\tr\tb\nb\tr\tc\na\tr\tb\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            ts = load_split(path)
+            ts = load_train_split(path)
         assert ts == [("a", "r", "b"), ("b", "r", "c")]
         assert "dropped 2 duplicate" in caplog.text
 
     def test_wrong_field_count_names_line(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text("a\tr\tb\na\tb\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r":2:"):
-            load_split(path)
+        with pytest.raises(ParseError, match=r"train\.txt:2:"):
+            load_train_split(path)
 
     def test_empty_field_rejected(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text("a\t \tb\n", encoding="utf-8")
         with pytest.raises(ParseError, match="empty field"):
-            load_split(path)
+            load_train_split(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_split(tmp_path / "absent.txt")
+            load_train_split(tmp_path / "train.txt")  # not written
 
     def test_fields_are_whitespace_trimmed(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text(" a \tr\t b\n", encoding="utf-8")
-        assert load_split(path) == [("a", "r", "b")]
-
+        assert load_train_split(path) == [("a", "r", "b")]
 
     def test_byte_order_mark_dropped(self, tmp_path):
         (tmp_path / "train.txt").write_bytes(b"\xef\xbb\xbfa\tr\tb\n")
@@ -79,19 +77,21 @@ class TestLoadSplit:
 
 
 class TestBuildGraph:
+    """Vocabularies and id rows, as load_dataset builds them."""
+
     def test_counts(self):
-        g = build_graph([("a", "r", "b")], [], [("a", "r", "c")])
+        g, _ = dataset_of([("a", "r", "b")], test=[("a", "r", "c")])
         assert g.n_entities == 3
         assert g.n_relations == 1
 
     def test_all_empty(self):
-        g = build_graph([], [], [])
+        g, _ = dataset_of()
         assert g.n_entities == 0
         assert g.n_relations == 0
         assert g.train.shape == (0, 3)
 
     def test_first_appearance_order(self):
-        g = build_graph(
+        g, _ = dataset_of(
             [("b", "r2", "a"), ("c", "r1", "b")],
             [("d", "r1", "a")],
             [("e", "r3", "c")],
@@ -163,21 +163,19 @@ class TestLoadDatasetParity:
 
 class TestPopularity:
     def test_direct_count(self):
-        g = build_graph([("a", "r", "b"), ("a", "r", "c")], [], [])
-        pop = compute_popularity(g)
+        g, pop = dataset_of([("a", "r", "b"), ("a", "r", "c")])
         assert pop[g.entity_ids["a"]] == 2
         assert pop[g.entity_ids["b"]] == 1
         assert pop[g.entity_ids["c"]] == 1
 
     def test_self_loop_counts_once(self):
-        g = build_graph([("a", "r", "a")], [], [])
-        assert compute_popularity(g)[g.entity_ids["a"]] == 1
+        g, pop = dataset_of([("a", "r", "a")])
+        assert pop[g.entity_ids["a"]] == 1
 
     def test_valid_test_only_entities_zero(self):
-        g = build_graph([("a", "r", "b")],
-                        [("c", "r", "a")],
-                        [("a", "r", "d")])
-        pop = compute_popularity(g)
+        g, pop = dataset_of([("a", "r", "b")],
+                            [("c", "r", "a")],
+                            [("a", "r", "d")])
         assert pop[g.entity_ids["c"]] == 0
         assert pop[g.entity_ids["d"]] == 0
 
@@ -188,8 +186,7 @@ class TestPopularity:
     def test_sum_identity(self, rows):
         """sum(counts) == 2*(non-self-loop train triples) + self-loops."""
         triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows]
-        g = build_graph(triples, [], [])
-        pop = compute_popularity(g)
+        g, pop = dataset_of(triples)
         self_loops = int(np.count_nonzero(g.train[:, 0] == g.train[:, 2])) \
             if len(g.train) else 0
         assert int(pop.sum()) == 2 * (len(g.train) - self_loops) + self_loops
@@ -200,13 +197,13 @@ class TestPopularity:
 
 class TestDatasetStats:
     def test_single_triple(self):
-        g = build_graph([("a", "r", "b")], [], [])
-        stats = dataset_stats(g, compute_popularity(g))
+        g, pop = dataset_of([("a", "r", "b")])
+        stats = dataset_stats(g, pop)
         assert stats == DatasetStats(2, 1, 1, 1.0, 1)
 
     def test_degenerate_empty_graph(self):
-        g = build_graph([], [], [])
-        stats = dataset_stats(g, compute_popularity(g))
+        g, pop = dataset_of()
+        stats = dataset_stats(g, pop)
         assert stats == DatasetStats(0, 0, 0, None, 0)
         assert stats.to_json_dict()["delta_avg"] is None
         assert "undefined" in stats.to_text()
@@ -229,9 +226,8 @@ class TestDatasetStats:
         assert len({len(line) for line in lines}) == 1  # right-aligned values
 
     def test_display_rounding_one_decimal(self):
-        g = build_graph([("a", "r", "b"), ("a", "r", "c"), ("a", "r2", "d")],
-                        [], [])
-        stats = dataset_stats(g, compute_popularity(g))
+        g, pop = dataset_of([("a", "r", "b"), ("a", "r", "c"), ("a", "r2", "d")])
+        stats = dataset_stats(g, pop)
         assert stats.delta_avg == 1.5
         assert "1.5" in stats.to_text()
 

@@ -17,7 +17,7 @@ from probe_eval import metrics
 from probe_eval.errors import ValidationError
 from probe_eval.metrics import (MetricConfig, bucket_masks, default_bucket_edges, exact_sum,
                                 hits_at_k, mr, mrr, popularity_weights, probe_score,
-                                rt_affine, rt_raw, stratified_breakdown, weight)
+                                rt_affine, rt_raw, stratified_breakdown)
 from probe_eval.sweep import rank_histogram
 from probe_eval.synthetic import oracle_probe
 
@@ -105,29 +105,35 @@ class TestRtAffine:
 
 
 class TestWeight:
+    """(1 + popularity)**-beta, as popularity_weights gives it: the weights are
+    scaled so the largest is 1, so each is taken beside a popularity of 0."""
+
+    @staticmethod
+    def relative(delta: int, beta: float) -> float:
+        return float(popularity_weights(np.array([0, delta]), beta, 1.0)[1])
+
     def test_zero_beta_is_unit(self):
-        for delta in (0, 3, 7614):
-            assert weight(delta, 0.0, 1.0) == 1.0
+        assert popularity_weights(np.array([0, 3, 7614]), 0.0, 1.0).tolist() == [1.0] * 3
 
     def test_quarter(self):
-        assert weight(3, 1.0, 1.0) == 0.25
+        assert self.relative(3, 1.0) == 0.25
 
     def test_high_popularity_against_mpmath(self):
         expected = float(mpmath.power(7615, mpmath.mpf("-0.8")))
-        assert weight(7614, 0.8, 1.0) == pytest.approx(expected, rel=1e-14)
-        assert weight(7614, 0.8, 1.0) == pytest.approx(7.85e-4, rel=2e-3)
+        assert self.relative(7614, 0.8) == pytest.approx(expected, rel=1e-14)
+        assert self.relative(7614, 0.8) == pytest.approx(7.85e-4, rel=2e-3)
 
     def test_guard_validation(self):
         with pytest.raises(ValidationError):
-            weight(1, 1.0, 0.0)
+            MetricConfig(epsilon=0.0, affine=False)
         with pytest.raises(ValidationError):
-            weight(-1, 1.0, 1.0)
+            popularity_weights(np.array([1, -1]), 1.0, 1.0)
         with pytest.raises(ValidationError):
-            weight(1, -0.5, 1.0)
+            MetricConfig(beta=-0.5, affine=False)
 
     @given(delta=st.integers(0, 10**6), beta=st.floats(0, 2), eps=st.floats(1e-6, 10))
     def test_strictly_positive(self, delta, beta, eps):
-        assert weight(delta, beta, eps) > 0.0
+        assert (popularity_weights(np.array([0, delta]), beta, eps) > 0.0).all()
 
 
 class TestMetricConfig:
@@ -177,7 +183,7 @@ class TestProbeScore:
 
     def test_weights_do_not_underflow(self):
         """(1 + 5000)**-90 is 0.0 in floats; the scaled weights are not."""
-        assert weight(5_000, 90.0, 1.0) == 0.0
+        assert (1.0 + 5_000) ** -90.0 == 0.0
         records = make_records([1, 7], pops=[5_000, 6_000])
         score = probe_score(records, MetricConfig(alpha=1.0, beta=90.0, affine=True,
                                                   entity_count=10))

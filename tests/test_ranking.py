@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_rank, make_records
+from conftest import brute_force_rank, dataset_of, make_records
 from probe_eval.errors import ParseError, ValidationError
-from probe_eval.kg_data import build_graph, compute_popularity, load_dataset
+from probe_eval.kg_data import compute_popularity, load_dataset
 from probe_eval.ranking import (Direction, Query, RankRecord, ScoreRow,
                                 TiePolicy, filter_set, load_rank_file,
                                 make_queries, rank_of_gold, rank_score_file,
@@ -24,7 +24,7 @@ from probe_eval.ranking import (Direction, Query, RankRecord, ScoreRow,
 
 
 def graph_of(*train, valid=(), test=()):
-    return build_graph(train, valid, test)
+    return dataset_of(train, valid, test)[0]
 
 
 SPLITS = ("train", "valid", "test")
@@ -38,7 +38,7 @@ def graph_in_splits(rows, splits):
     splits[0].add("test")
     triples = {name: [(f"e{h}", f"r{r}", f"e{t}") for (h, r, t), where in zip(rows, splits)
                       if name in where] for name in SPLITS}
-    return build_graph(triples["train"], triples["valid"], triples["test"])
+    return dataset_of(triples["train"], triples["valid"], triples["test"])[0]
 
 
 def naive_filter(graph, query) -> set[int]:

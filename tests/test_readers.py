@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_load_rank_file, reference_load_split
+from conftest import (dataset_of, load_train_split, reference_load_rank_file,
+                      reference_load_split)
 from probe_eval import errors, kg_data
 from probe_eval.errors import ParseError, ValidationError, read_rows
-from probe_eval.kg_data import build_graph, compute_popularity, load_dataset, load_split
+from probe_eval.kg_data import load_dataset
 from probe_eval.ranking import load_rank_file
 
 CHUNKS = (1, 2, 5, 16, 1 << 20)  # characters per read; 1 reads one line at a time
@@ -94,13 +95,12 @@ class TestParity:
             path = write_lines(Path(tmp) / "train.txt", *file)
             expected = outcome(reference_load_split, path)
             with chunked(chunk):
-                assert outcome(load_split, path) == expected
+                assert outcome(load_train_split, path) == expected
 
     @given(_file(_rank_line), st.sampled_from(CHUNKS))
     @settings(max_examples=300, deadline=None)
     def test_rank_file(self, file, chunk):
-        graph = build_graph([("a", "r", "b")], [], [])
-        pop = compute_popularity(graph)
+        graph, pop = dataset_of([("a", "r", "b")])
         with tempfile.TemporaryDirectory() as tmp:
             path = write_lines(Path(tmp) / "ranks.tsv", *file)
             expected = table_outcome(reference_load_rank_file, path, graph, pop)
@@ -108,15 +108,16 @@ class TestParity:
                 assert table_outcome(load_rank_file, path, graph, pop) == expected
 
     def test_empty_field_before_wrong_field_count(self, tmp_path):
-        path = tmp_path / "t.txt"
+        path = tmp_path / "train.txt"
         path.write_text("a\t \tb\na\tb\n", encoding="utf-8")
         for chunk in CHUNKS:
             with chunked(chunk), pytest.raises(
-                    ParseError, match=r"t\.txt:1: empty field after whitespace trimming$"):
-                load_split(path)
+                    ParseError, match=r"train\.txt:1: empty field after whitespace trimming$"):
+                load_train_split(path)
 
     @pytest.mark.parametrize("rank", ["9223372036854775807", str(2 ** 63), "1" + "0" * 25,
-                                      "0" * 25 + "7", "0", "00"])
+                                      "0" * 25 + "7", "0", "00", "0" * 4000 + "7",
+                                      "1" + "0" * 4000])
     def test_rank_range_edges(self, tmp_path, rank):
         path = tmp_path / "r.tsv"
         path.write_text(f"a\tr\tb\ttail\t3\na\tr\tb\thead\t{rank}\n", encoding="utf-8")
@@ -132,6 +133,21 @@ class TestParity:
             with chunked(chunk), pytest.raises(
                     ValidationError, match=r"r\.tsv:1: rank must be >= 1 and < 2\*\*63, got 0$"):
                 load_rank_file(path)
+
+    @pytest.mark.parametrize("zeros", [0, 5000])
+    def test_ranks_beyond_the_int_digit_limit(self, tmp_path, zeros):
+        """int() refuses over 4,300 digits; leading zeros do not count toward a
+        rank's size, and a larger rank is named by its digits."""
+        path = tmp_path / "r.tsv"
+        path.write_text(f"a\tr\tb\ttail\t{'0' * 5000}7\n"
+                        f"a\tr\tb\thead\t{'0' * zeros}{'9' * 5000}\n", encoding="utf-8")
+        for chunk in CHUNKS:
+            with chunked(chunk), pytest.raises(ValidationError) as raised:
+                load_rank_file(path)
+            assert str(raised.value) == (f"{path}:2: rank must be >= 1 and < 2**63, "
+                                         f"got {'9' * 5000}")
+        path.write_text(f"a\tr\tb\ttail\t{'0' * 5000}7\n", encoding="utf-8")
+        assert load_rank_file(path).ranks.tolist() == [7]
 
 
 class TestChunkBoundaries:

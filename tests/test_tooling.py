@@ -3,8 +3,9 @@ the package, float reductions go through ``metrics.exact_sum``, PROBE
 scores come only from ``metrics.score_grid``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, every tab-separated input
-goes through ``errors.read_rows``, every value type is a dataclass, and the
-command-line options are pinned."""
+goes through ``errors.read_rows``, every value type is a dataclass, every
+public name has a caller outside the tests, and the command-line options are
+pinned."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import probe_eval
 from probe_eval.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,9 +39,9 @@ def test_every_traced_function_resolves():
 
 
 def _nodes_inside(tree: ast.AST, function: str) -> set[int]:
-    """ids of the AST nodes within every definition of `function`."""
+    """ids of the AST nodes within every definition of `function` (or class)."""
     return {id(node) for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == function
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and fn.name == function
             for node in ast.walk(fn)}
 
 
@@ -167,6 +169,28 @@ def test_value_types_are_dataclasses():
             if not (isinstance(cls, type) and issubclass(cls, plain)):
                 stray.append(f"{path.name}:{node.name}")
     assert stray == []
+
+
+def test_public_names_have_a_product_caller():
+    """Every name in probe_eval.__all__ is used by the package outside its own
+    definition, or imported by the acceptance tests, so the unit tests run what
+    the command line runs and no public function exists only for them."""
+    missing = set(probe_eval.__all__)
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        if path.name == "__init__.py":  # it imports and lists every public name
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else None)
+            if name in missing and id(node) not in _nodes_inside(tree, name):
+                missing.discard(name)
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    for node in ast.walk(acceptance):
+        if isinstance(node, ast.ImportFrom):
+            missing.difference_update(alias.name for alias in node.names)
+    assert sorted(missing) == []
 
 
 # Every option string of each subcommand ("" is the top-level parser), -h aside.
