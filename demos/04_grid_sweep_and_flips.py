@@ -46,10 +46,13 @@ def main():
         print(f"  at (alpha={flip.cell[0]}, beta={flip.cell[1]}): "
               f"{flip.cell_order[0]} now beats {flip.cell_order[1]}")
 
-    out = Path(tempfile.mkdtemp(prefix="probe-eval-demo-")) / "surface.csv"
-    surface_export(result, out)
-    print(f"\nplot-ready surface written to {out}")
-    print("load it with any long-format plotting tool: model,alpha,beta,score")
+    with tempfile.TemporaryDirectory(prefix="probe-eval-demo-") as workdir:
+        out = Path(workdir) / "surface.csv"
+        surface_export(result, out)
+        lines = out.read_text().splitlines()
+    print(f"\nplot-ready surface export, {len(lines) - 1} rows in long format:")
+    print("\n".join(f"  {line}" for line in lines[:4]))
+    print("  ...\nany long-format plotting tool reads it as model,alpha,beta,score")
 
 
 if __name__ == "__main__":

@@ -89,7 +89,7 @@ class KnowledgeGraph:
     def __post_init__(self):
         self.entity_labels = list(self.entity_ids)
         self.relation_labels = list(self.relation_ids)
-        # lazily built (known entity, relation) -> candidate index; see ranking.filter_set
+        # per direction, sorted known-triple keys, built lazily by ranking.filter_set
         self._filter_index = None
 
     @property

@@ -192,43 +192,34 @@ def make_queries(graph: KnowledgeGraph, pop: np.ndarray) -> list[Query]:
     return queries
 
 
-def _csr_index(known: np.ndarray, relation: np.ndarray, candidate: np.ndarray,
-               graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted unique ``known * n_relations + relation`` codes, offsets, ids.
-
-    The candidates of codes[i] are ids[offsets[i]:offsets[i + 1]], sorted
-    and distinct: a triple found in more than one split lists its
-    candidate once.
-    """
-    pairs = np.sort((known * graph.n_relations + relation) * graph.n_entities + candidate)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # pairs and codes are >= 0
-    codes, ids = np.divmod(pairs, graph.n_entities)
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    return codes[starts], np.append(starts, len(codes)), ids
-
-
 def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
     """Candidates (other than the gold) that complete a known-true triple.
 
     Sorted distinct int64 entity ids, looked up in an index over train,
-    valid and test that is built on the graph's first call.
+    valid and test that is built on the graph's first call: per direction,
+    the sorted distinct keys ``(known * |R| + relation) * |E| + candidate``.
     """
     if query.gold_id < 0 or query.relation_id < 0:
         raise ValidationError(f"query {query.key()} is not resolved against the graph")
+    n_entities, n_relations = graph.n_entities, graph.n_relations
     index = graph._filter_index
     if index is None:
+        if n_entities ** 2 * n_relations >= 2 ** 63:  # a key could wrap and match wrongly
+            raise ValidationError(
+                f"{n_entities} entities and {n_relations} relations overflow the int64 "
+                "filter keys; rank with --raw to skip the filter")
         heads, relations, tails = np.concatenate(
             (graph.train, graph.valid, graph.test), dtype=np.int64).T
-        index = graph._filter_index = {
-            Direction.HEAD: _csr_index(tails, relations, heads, graph),
-            Direction.TAIL: _csr_index(heads, relations, tails, graph)}
-    codes, offsets, ids = index[query.direction]
+        index = graph._filter_index = {}
+        for direction, known, candidate in ((Direction.HEAD, tails, heads),
+                                            (Direction.TAIL, heads, tails)):
+            keys = np.sort((known * n_relations + relations) * n_entities + candidate)
+            index[direction] = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+    keys = index[query.direction]
     known = query.tail_id if query.direction is Direction.HEAD else query.head_id
-    code = known * graph.n_relations + query.relation_id
-    pos = int(np.searchsorted(codes, code))
-    if pos == len(codes) or codes[pos] != code:
-        return ids[:0]
-    found = ids[offsets[pos]:offsets[pos + 1]]
+    base = (known * n_relations + query.relation_id) * n_entities
+    lo, hi = keys.searchsorted((base, base + n_entities))
+    found = keys[lo:hi] - base
     return found[found != query.gold_id]
 
 
@@ -335,7 +326,7 @@ def iter_score_rows(path: str | Path,
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # int() refuses over 4,300 digits: no .msg
+            except (ValueError, RecursionError) as exc:  # over 4,300 digits or too deep: no .msg
                 raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                                  path=str(path), line=lineno) from None
             try:

@@ -175,7 +175,7 @@ def load_profile(path: str | Path) -> RankProfile:
         text = handle.read()  # a decoding error is open_text's ParseError
     try:
         data = json.loads(text)
-    except ValueError as exc:  # int() refuses over 4,300 digits: no .msg
+    except (ValueError, RecursionError) as exc:  # over 4,300 digits or too deep: no .msg
         raise ValidationError(f"invalid profile JSON: {getattr(exc, 'msg', exc)}",
                               path=path) from None
     return profile_from_dict(data)

@@ -592,6 +592,8 @@ def _score_line(head="d", direction="head", scores=(0.1, 0.2, 0.3, 0.4)) -> str:
 
 
 # case: (command, input lines, error category, the error line after its path)
+# json.loads raises RecursionError, not ValueError, on 100,000 nested arrays
+DEEP_JSON = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 LOCATED_ERRORS = {
     "score-vocabulary": ("rank", [_score_line(), _score_line(head="zz")], "validation",
                          ":2: triple (zz, r1, b) references labels outside the "
@@ -616,6 +618,9 @@ LOCATED_ERRORS = {
                        ":2: duplicate query ('d', 'r1', 'b', 'head') repeats line 1"),
     "profile-json": ("synth", ["{bad"], "validation", ": invalid profile JSON: Expecting "
                      "property name enclosed in double quotes"),
+    "score-deep-json": ("rank", ["[" * 100_000], "parse", f":1: invalid JSON: {DEEP_JSON}"),
+    "profile-deep-json": ("synth", ["[" * 100_000], "validation",
+                          f": invalid profile JSON: {DEEP_JSON}"),
 }
 
 

@@ -123,6 +123,17 @@ class TestFilterSet:
             got = filter_set(q, g)
             assert got.tolist() == sorted(naive_filter(g, q))
 
+    def test_keys_that_could_wrap_are_refused(self):
+        """With |E|**2 * |R| >= 2**63 the int64 key (known*|R| + r)*|E| + candidate
+        could wrap: these two rows share it modulo 2**64, so the filter is refused."""
+        g = graph_of(("a", "r", "b"), test=(("a", "r", "b"),))
+        g.train = g.test = np.array([[2 ** 32, 0, 0], [0, 0, 2 ** 32]], dtype=np.int64)
+        g.entity_labels = range(2 ** 32 + 1)  # the vocabulary's size, without its labels
+        query = Query("a", "r", "b", Direction.TAIL, head_id=2 ** 32, relation_id=0, tail_id=0)
+        with pytest.raises(ValidationError, match="--raw") as error:
+            filter_set(query, g)
+        assert "4294967297 entities and 1 relations overflow" in str(error.value)
+
 
 class TestRankOfGold:
     def test_plain_second_place(self):
