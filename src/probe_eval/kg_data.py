@@ -25,45 +25,66 @@ SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")  # a dataset directory's la
 def _ids(paths: Sequence[str | Path]) -> tuple[dict[str, int], dict[str, int], list[np.ndarray]]:
     """Entity and relation label->id maps plus the id rows of each split file.
 
-    Ids are dense, in first-appearance order.  While the splits are read, a
-    label's value is the position of its first occurrence (heads and tails
-    interleaved), made a dense id by one gather per split, so a label's id
-    does not change when later splits add labels.  A split's repeated
-    triples are dropped, with a warning naming its path, as soon as it is read.
+    Ids are dense, in first-appearance order (heads and tails interleaved).
+    The maps hold them from the first chunk on, so a label's id does not
+    change when later splits add labels.  A split's repeated triples are
+    dropped, with a warning naming its path, as soon as it is read.
     """
     entities: dict[str, int] = {}
     relations: dict[str, int] = {}
     rows = []
-    done = 0  # triples coded so far
     for path in paths:
-        pairs, rels = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        for (heads, relation, tails), _ in read_rows(path, 3):
-            n = len(heads)
-            stream = [""] * (2 * n)
-            stream[0::2], stream[1::2] = heads, tails
-            pairs.append(np.fromiter(map(entities.setdefault, stream, count(2 * done)),
-                                     np.int64, 2 * n))
-            rels.append(np.fromiter(map(relations.setdefault, relation, count(done)),
-                                    np.int64, n))
-            done += n
-        entity_id, relation_id = np.zeros(2 * done, np.int64), np.zeros(done, np.int64)
-        for dense, labels in ((entity_id, entities), (relation_id, relations)):
-            dense[np.fromiter(labels.values(), np.int64, len(labels))] = np.arange(len(labels))
-        pairs = entity_id[np.concatenate(pairs)]
-        split = np.column_stack((pairs[0::2], relation_id[np.concatenate(rels)], pairs[1::2]))
+        split = _split_rows(path, entities, relations)
         rows.append(_drop_repeats(split, len(entities), len(relations), path))
-    for labels in (entities, relations):
-        labels.update(zip(labels, range(len(labels))))  # positions -> dense ids; no key is added
     return entities, relations, rows
+
+
+def _split_rows(path: str | Path, entities: dict[str, int],
+                relations: dict[str, int]) -> np.ndarray:
+    """A split file's id rows: one (n, 3) block per chunk, then one concatenation."""
+    blocks = [np.zeros((0, 3), np.int64)]
+    for (heads, relation, tails), _ in read_rows(path, 3):
+        n = len(heads)
+        stream = [""] * (2 * n)
+        stream[0::2], stream[1::2] = heads, tails
+        blocks.append(np.empty((n, 3), np.int64))
+        blocks[-1][:, 0::2] = _dense_ids(entities, stream).reshape(n, 2)
+        blocks[-1][:, 1] = _dense_ids(relations, relation)
+    return np.concatenate(blocks)
+
+
+def _dense_ids(labels: dict[str, int], stream: list[str]) -> np.ndarray:
+    """The ids of a chunk's labels, adding its new labels to the map in order.
+
+    setdefault offers label i the value len(labels) + i.  A known label returns
+    its id; a new one returns the offer made at its first occurrence, and the
+    rank of that occurrence among the chunk's first occurrences is its id offset.
+    """
+    known = len(labels)
+    ids = np.fromiter(map(labels.setdefault, stream, count(known)), np.int64, len(stream))
+    at = np.flatnonzero(ids >= known)
+    if len(at):
+        offered = ids[at] - known
+        first = at[offered == at]  # sorted, one per new label
+        ids[at] = known + first.searchsorted(offered)
+        labels.update(zip(map(stream.__getitem__, first.tolist()), count(known)))
+    return ids
 
 
 def _drop_repeats(rows: np.ndarray, n_entities: int, n_relations: int,
                   path: str | Path) -> np.ndarray:
-    """Keep each id triple's first row, warning with the number dropped."""
-    key = (rows[:, 0] * n_relations + rows[:, 1]) * n_entities + rows[:, 2]
-    # the int64 key is fast; whole rows, compared when it could wrap, are exact but slower
-    _, first = np.unique(key if n_entities ** 2 * n_relations < 2 ** 63 else rows,
-                         return_index=True, axis=0)
+    """Keep each id triple's first row, warning with the number dropped.
+
+    Rows are compared by the int64 key (head*|R| + relation)*|E| + tail, built
+    in place, or whole where that key could wrap: exact, but slower.
+    """
+    key = rows
+    if n_entities ** 2 * n_relations < 2 ** 63:
+        key = rows[:, 0] * n_relations
+        key += rows[:, 1]
+        key *= n_entities
+        key += rows[:, 2]
+    _, first = np.unique(key, return_index=True, axis=0)
     if len(first) < len(rows):
         logger.warning("%s: dropped %d duplicate triple line(s)", path, len(rows) - len(first))
         rows = rows[np.sort(first)]

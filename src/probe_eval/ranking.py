@@ -197,7 +197,8 @@ def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
 
     Sorted distinct int64 entity ids, looked up in an index over train,
     valid and test that is built on the graph's first call: per direction,
-    the sorted distinct keys ``(known * |R| + relation) * |E| + candidate``.
+    the sorted distinct keys ``(known * |R| + relation) * |E| + candidate``,
+    written split by split into one array and sorted in place.
     """
     if query.gold_id < 0 or query.relation_id < 0:
         raise ValidationError(f"query {query.key()} is not resolved against the graph")
@@ -208,13 +209,22 @@ def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
             raise ValidationError(
                 f"{n_entities} entities and {n_relations} relations overflow the int64 "
                 "filter keys; rank with --raw to skip the filter")
-        heads, relations, tails = np.concatenate(
-            (graph.train, graph.valid, graph.test), dtype=np.int64).T
+        splits = (graph.train, graph.valid, graph.test)
         index = graph._filter_index = {}
-        for direction, known, candidate in ((Direction.HEAD, tails, heads),
-                                            (Direction.TAIL, heads, tails)):
-            keys = np.sort((known * n_relations + relations) * n_entities + candidate)
-            index[direction] = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+        for direction, known, candidate in ((Direction.HEAD, 2, 0), (Direction.TAIL, 0, 2)):
+            keys = np.empty(sum(map(len, splits)), np.int64)
+            end = 0
+            for split in splits:
+                part = keys[end:end + len(split)]
+                np.multiply(split[:, known], n_relations, out=part)
+                part += split[:, 1]
+                part *= n_entities
+                part += split[:, candidate]
+                end += len(split)
+            keys.sort()
+            distinct = np.ones(len(keys), bool)
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            index[direction] = keys[distinct]
     keys = index[query.direction]
     known = query.tail_id if query.direction is Direction.HEAD else query.head_id
     base = (known * n_relations + query.relation_id) * n_entities
@@ -322,7 +332,7 @@ def iter_score_rows(path: str | Path,
     path = Path(path)
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)
@@ -374,32 +384,42 @@ def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
     Every one of the 2*|test| queries must appear exactly once unless
     allow_partial is set; rows that are not test queries are rejected, and
     an error in a row names its ``path:line``.  Output order is the
-    canonical query order (head-masked then tail-masked per test triple).
+    canonical query order (head-masked then tail-masked per test triple):
+    a row's id triple finds its test row in one map, and query 2*row (head)
+    or 2*row + 1 (tail).  Keys and popularities are built for the ranked
+    queries only.
     """
-    queries = make_queries(graph, pop)
-    keys = ["\t".join(q.key()) for q in queries]
-    by_key = {key: i for i, key in enumerate(keys)}
-    ranks = np.zeros(len(queries), dtype=np.int64)  # 0: no row read yet
+    test_row = {triple: i for i, triple in enumerate(zip(*graph.test.T.tolist()))}
+    ranks = np.zeros(2 * len(graph.test), dtype=np.int64)  # 0: no row read yet
     for lineno, row in iter_score_rows(path, graph):
-        idx = by_key.get("\t".join(row.query.key()))
+        query = row.query
+        idx = test_row.get((query.head_id, query.relation_id, query.tail_id))
         if idx is None:
-            raise ValidationError(f"score row {row.query.key()} does not match any "
+            raise ValidationError(f"score row {query.key()} does not match any "
                                   "test query", path=path, line=lineno)
+        idx = 2 * idx + (query.direction is Direction.TAIL)
         if ranks[idx]:
-            raise ValidationError(f"duplicate score row for query {row.query.key()}",
+            raise ValidationError(f"duplicate score row for query {query.key()}",
                                   path=path, line=lineno)
-        excluded = () if raw else filter_set(row.query, graph)
+        excluded = () if raw else filter_set(query, graph)
         try:
             ranks[idx] = rank_of_gold(row, excluded, tie).rank
         except ValidationError as exc:
             raise ValidationError(str(exc), path=path, line=lineno) from None
 
     seen = np.flatnonzero(ranks)
-    if not allow_partial and len(seen) != len(queries):
-        missing = int(np.flatnonzero(ranks == 0)[0])
-        raise ValidationError(
-            f"score file covers {len(seen)} of {len(queries)} test queries; "
-            f"first missing: {queries[missing].key()}")
-    pops = np.fromiter((queries[i].gold_popularity for i in seen.tolist()),
-                       dtype=np.int64, count=len(seen))
-    return RankTable([keys[i] for i in seen.tolist()], ranks[seen], pops)
+    if not allow_partial and len(seen) != len(ranks):
+        missing = _query_keys(graph, np.flatnonzero(ranks == 0)[:1])[0]
+        raise ValidationError(f"score file covers {len(seen)} of {len(ranks)} test queries; "
+                              f"first missing: {missing}")
+    triples = graph.test[seen // 2]
+    pops = pop[np.where(seen % 2, triples[:, 2], triples[:, 0])]
+    return RankTable(["\t".join(key) for key in _query_keys(graph, seen)], ranks[seen], pops)
+
+
+def _query_keys(graph: KnowledgeGraph, indices: np.ndarray) -> list[tuple[str, str, str, str]]:
+    """Query.key() of the canonical queries at these indices: query i masks
+    test row i // 2's head if i is even, its tail if odd."""
+    entity, relation = graph.entity_labels, graph.relation_labels
+    return [(entity[h], relation[r], entity[t], _DIRECTIONS[i % 2])
+            for i, (h, r, t) in zip(indices.tolist(), graph.test[indices // 2].tolist())]

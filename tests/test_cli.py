@@ -175,8 +175,8 @@ class TestRank:
                        "--out", str(tmp_path / "o.tsv"))
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[validation]:")
-        assert "first missing" in err
+        assert err == ("error[validation]: score file covers 1 of 4 test queries; "
+                       "first missing: ('d', 'r1', 'b', 'tail')\n")
 
 
 class TestEval:

@@ -8,6 +8,7 @@ import logging
 import pathlib
 import tempfile
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -133,6 +134,25 @@ class TestFilterSet:
         with pytest.raises(ValidationError, match="--raw") as error:
             filter_set(query, g)
         assert "4294967297 entities and 1 relations overflow" in str(error.value)
+
+    def test_index_build_holds_one_key_array_at_a_time(self):
+        """Building the index allocates, beyond the two key arrays it keeps, less
+        than twice one direction's key array: 5.1 -> 1.3 times it here.  Each
+        direction's keys are written split by split into one array and sorted in
+        place; a copy of all three splits' columns and a sort copy made the 5.1."""
+        rng = np.random.default_rng(11)
+        train = [(f"e{h}", f"r{r}", f"e{t}")
+                 for h, r, t in rng.integers(0, [3_000, 50, 3_000], size=(60_000, 3))]
+        g = graph_of(*train, valid=train[:5_000], test=train[5_000:10_000])
+        query = make_queries(g, compute_popularity(g))[0]
+        tracemalloc.start()
+        try:
+            filter_set(query, g)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_direction = 8 * (len(g.train) + len(g.valid) + len(g.test))
+        assert peak - kept < 2 * one_direction, (peak - kept, one_direction)
 
 
 class TestRankOfGold:
@@ -327,6 +347,19 @@ class TestRankFileIO:
         assert loaded.ranks.tolist() == table.ranks.tolist()
 
 
+@dataclass(frozen=True)
+class _Names:
+    """Labels r0, r1, ... of a vocabulary too large to list."""
+
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> str:
+        return f"r{i}"
+
+
 def write_score_file(path, graph, rows):
     """rows: list of (head, relation, tail, direction, scores)."""
     with path.open("w", encoding="utf-8") as handle:
@@ -375,8 +408,10 @@ class TestRankScoreFile:
         tmp_path, g, pop = small
         path = tmp_path / "s.jsonl"
         write_score_file(path, g, [("a", "r", "b", "head", [0.2, 0.1, 0.9])])
-        with pytest.raises(ValidationError, match="first missing"):
+        with pytest.raises(ValidationError) as error:
             rank_score_file(path, g, pop, TiePolicy("average"))
+        assert str(error.value) == ("score file covers 1 of 2 test queries; "
+                                    "first missing: ('a', 'r', 'b', 'tail')")
 
     def test_allow_partial(self, small):
         tmp_path, g, pop = small
@@ -427,7 +462,7 @@ class TestRankScoreFile:
                 for policy in TiePolicy.POLICIES:
                     tie = TiePolicy(policy, seed=seed if policy == "random" else None)
                     got = rank_score_file(path, g, pop, tie, raw=raw, allow_partial=True)
-                    expected = []
+                    expected, pops = [], []
                     for i in sorted(kept):
                         query, row = queries[i], scores[i]
                         excluded = set() if raw else naive_filter(g, query)
@@ -436,7 +471,10 @@ class TestRankScoreFile:
                         draw = documented_draw(seed, query, ties)
                         expected.append(("\t".join(query.key()), brute_force_rank(
                             row, query.gold_id, excluded, policy, draw)))
+                        pops.append(sum(query.gold_id in (h, t)
+                                        for h, _, t in g.train.tolist()))
                     assert list(zip(got.keys, got.ranks.tolist())) == expected
+                    assert got.pops.dtype == np.int64 and got.pops.tolist() == pops
 
     def test_holds_one_row_at_a_time(self, tmp_path):
         """400 rows x 5,000 entities would hold 16 MB as float64 rows."""
@@ -460,6 +498,55 @@ class TestRankScoreFile:
         assert len(table) == 2 * n_test
         row_bytes = 8 * n_entities
         assert peak < 40 * row_bytes, f"traced peak {peak} bytes"
+
+    def test_holds_no_object_per_test_query(self, tmp_path):
+        """With 4 score rows and 20,000 test triples, the traced peak per test query
+        is below 160 bytes: 318 -> 97 here.  A row finds its query through one map
+        from id triple to test row; a Query object and a key string per query, with
+        a dict over the keys, made the 318."""
+        n_entities, n_test = 2_000, 20_000
+        rng = np.random.default_rng(5)
+        drawn = rng.integers(0, [n_entities, 20, n_entities], size=(n_test + 500, 3))
+        test = sorted({(f"e{h}", f"r{r}", f"e{t}") for h, r, t in drawn.tolist()})[:n_test]
+        train = [(f"e{i}", "r0", f"e{(i + 1) % n_entities}") for i in range(n_entities)]
+        g = graph_of(*train, test=test)
+        pop = compute_popularity(g)
+        path = tmp_path / "s.jsonl"
+        write_score_file(path, g, [(*triple, direction, rng.integers(0, 50, n_entities).tolist())
+                                   for triple in test[:2] for direction in ("head", "tail")])
+        tie = TiePolicy("average")
+        rank_score_file(path, g, pop, tie, allow_partial=True)  # lazy imports, filter index
+        tracemalloc.start()
+        try:
+            table = rank_score_file(path, g, pop, tie, allow_partial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.test) == n_test and len(table) == 4
+        assert peak < 160 * 2 * n_test, f"traced peak {peak} bytes"
+
+    def test_raw_ranks_where_a_filter_key_could_wrap(self, tmp_path):
+        """rank --raw runs where |E|**2 * |R| >= 2**63.  These two test triples'
+        int64 key (h*|R| + r)*|E| + t is the same modulo 2**64, so a lookup by that
+        key would confuse them."""
+        g = graph_of(("a", "r0", "b"), ("b", "r0", "c"), test=(("a", "r0", "a"),))
+        n_relations, r = 2 ** 62, (2 ** 62 - 1) // 3
+        g.relation_labels = _Names(n_relations)
+        g.relation_ids = {"r0": 0, f"r{r}": r}
+        g.test = np.array([[1, r, 1], [0, 0, 0]], dtype=np.int64)
+        keys = (g.test[:, 0] * n_relations + g.test[:, 1]) * g.n_entities + g.test[:, 2]
+        assert g.n_entities ** 2 * n_relations >= 2 ** 63 and keys[0] == keys[1]
+        pop = compute_popularity(g)
+        path = tmp_path / "s.jsonl"
+        write_score_file(path, g, [("b", f"r{r}", "b", "tail", [0.9, 0.5, 0.5]),
+                                   ("a", "r0", "a", "head", [0.2, 0.1, 0.3]),
+                                   ("b", f"r{r}", "b", "head", [0.5, 0.9, 0.1]),
+                                   ("a", "r0", "a", "tail", [0.1, 0.2, 0.3])])
+        table = rank_score_file(path, g, pop, TiePolicy("pessimistic"), raw=True)
+        assert table.keys == [f"b\tr{r}\tb\thead", f"b\tr{r}\tb\ttail",
+                              "a\tr0\ta\thead", "a\tr0\ta\ttail"]
+        assert table.ranks.tolist() == [1, 3, 2, 3]
+        assert table.pops.tolist() == [2, 2, 1, 1]
 
     def test_non_test_query_is_error(self, small):
         tmp_path, g, pop = small

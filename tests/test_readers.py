@@ -255,16 +255,39 @@ def _traced_peak(function, *args) -> int:
         tracemalloc.stop()
 
 
-def test_load_dataset_peak_memory_is_below_the_per_line_loop(tmp_path):
-    """load_dataset holds one chunk of labels at a time; the per-line loop held a
-    tuple of fresh strings for every triple of all three splits."""
+def _write_freebase_like(directory: Path) -> None:
+    """90,000 train, 5,000 valid and 5,000 test lines over 8,000 entities and
+    200 relations, labelled like FB15k237."""
     rng = np.random.default_rng(7)
     for name, n in (("train.txt", 90_000), ("valid.txt", 5_000), ("test.txt", 5_000)):
         rows = rng.integers(0, [8_000, 200, 8_000], size=(n, 3))
-        (tmp_path / name).write_text(
+        (directory / name).write_text(
             "".join(f"/m/0{h:05x}\t/rel/{r:03d}/type\t/m/0{t:05x}\n" for h, r, t in rows),
             encoding="utf-8")
+
+
+def test_load_dataset_peak_memory_is_below_the_per_line_loop(tmp_path):
+    """load_dataset holds one chunk of labels at a time; the per-line loop held a
+    tuple of fresh strings for every triple of all three splits."""
+    _write_freebase_like(tmp_path)
     paths = [tmp_path / name for name in kg_data.SPLIT_FILES]
     reference = _traced_peak(lambda: [reference_load_split(path) for path in paths])
     chunked_peak = _traced_peak(load_dataset, tmp_path)
     assert chunked_peak < 0.6 * reference, (chunked_peak, reference)
+
+
+def test_load_dataset_builds_each_split_once(tmp_path):
+    """What load_dataset allocates beyond what it returns is below 3 times the
+    largest split's (n, 3) int64 array: 4.3 -> 2.2 times it here.  The label maps
+    hold dense ids while the files are read, so a split's full-size arrays are its
+    chunk blocks and their concatenation; position tables over every triple read,
+    gathers through them and a column_stack copy made the 4.3."""
+    _write_freebase_like(tmp_path)
+    tracemalloc.start()
+    try:
+        graph, pop = load_dataset(tmp_path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest = max(split.nbytes for split in (graph.train, graph.valid, graph.test))
+    assert peak - kept < 3 * largest, (peak - kept, largest)
