@@ -17,12 +17,15 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+# No command calls BLAS, but NumPy's OpenBLAS worker thread would spin on a second core.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
@@ -341,10 +344,8 @@ def _cmd_compare(args, argv: list[str]) -> int:
     width = max(len(label) for label, _ in rows)
     col = max(max(len(c) for c in cells) for _, cells in rows)
     col = max(col, *(len(n) for n in names))
-    header = f"{'metric':<{width}}  " + "  ".join(f"{n:>{col}}" for n in names)
-    lines = [header]
-    for label, cells in rows:
-        lines.append(f"{label:<{width}}  " + "  ".join(f"{c:>{col}}" for c in cells))
+    lines = [f"{label:<{width}}  " + "  ".join(f"{c:>{col}}" for c in cells)
+             for label, cells in [("metric", names), *rows]]
     return _emit(args, argv, config, model_files.values(), text="\n".join(lines) + "\n")
 
 

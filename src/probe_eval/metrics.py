@@ -108,7 +108,8 @@ def popularity_weights(pops: np.ndarray, beta: float, epsilon: float) -> np.ndar
     if len(pops) and int(pops.min()) < 0:
         raise ValidationError("popularities must be >= 0")
     logs = np.log(epsilon + pops.astype(np.float64))
-    return np.exp(-beta * (logs - logs.min()))
+    with np.errstate(over="ignore"):  # a huge beta gives -inf, whose exp is the exact limit 0
+        return np.exp(-beta * (logs - logs.min()))
 
 
 _SPLIT_BITS = 27

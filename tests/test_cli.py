@@ -789,6 +789,17 @@ class TestHostileInputs:
         line = single_error_line(capsys, "parse")
         assert f"{bad}: input is not UTF-8" in line
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_huge_finite_beta_writes_nothing_to_stderr(self, toy_dataset, rankfile, tmp_path,
+                                                        command):
+        # beta * log-ratio of the popularities overflows to -inf, whose weight is 0
+        flags = (["--ranks", str(rankfile), "--beta", "1e308"] if command == "eval" else
+                 ["--ranks", f"m={rankfile}", "--betas", "0,1e308", "--out", str(tmp_path / "o")])
+        result = subprocess.run(
+            [sys.executable, "-m", "probe_eval.cli", command, *flags,
+             "--dataset", str(toy_dataset), "--epsilon", "0.01"], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+
     def test_underflowing_weights_still_score(self, rankfile, capsys):
         # every raw weight (1e200 + delta)**-2 underflows to 0.0
         assert run_cli("eval", "--ranks", str(rankfile), "--entities", "10",

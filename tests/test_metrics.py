@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import warnings
 
 import mpmath
 import numpy as np
@@ -134,6 +135,13 @@ class TestWeight:
     @given(delta=st.integers(0, 10**6), beta=st.floats(0, 2), eps=st.floats(1e-6, 10))
     def test_strictly_positive(self, delta, beta, eps):
         assert (popularity_weights(np.array([0, delta]), beta, eps) > 0.0).all()
+
+    def test_huge_beta_reaches_its_limit_without_a_warning(self):
+        """beta * log-ratio overflows to -inf; exp of it is the exact limit 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = popularity_weights(np.array([5, 0, 3, 0, 7614]), 1e308, 0.01)
+        assert weights.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 class TestMetricConfig:

@@ -5,7 +5,7 @@ metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, every tab-separated input
 goes through ``errors.read_rows``, every value type is a dataclass, every
 public name has a caller outside the tests, np.unique is never asked for its
-values alone, and the command-line options are pinned."""
+values alone, nothing calls BLAS, and the command-line options are pinned."""
 
 from __future__ import annotations
 
@@ -177,7 +177,7 @@ def test_public_names_have_a_product_caller():
     the command line runs and no public function exists only for them."""
     missing = set(probe_eval.__all__)
     for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
-        if path.name == "__init__.py":  # it imports and lists every public name
+        if path.name == "__init__.py":  # it lists every public name
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -206,6 +206,24 @@ def test_np_unique_returns_more_than_the_values():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "unique"
                     and not flags & {keyword.arg for keyword in node.keywords}):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_nothing_calls_blas():
+    """The command line runs OpenBLAS on one thread, which costs nothing only
+    while no code in the package multiplies matrices."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name) else [])
+            if (BLAS_CALLS.intersection(names)
+                    or isinstance(getattr(node, "op", None), ast.MatMult)):
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
