@@ -41,16 +41,16 @@ def _ids(paths: Sequence[str | Path]) -> tuple[dict[str, int], dict[str, int], l
 
 def _split_rows(path: str | Path, entities: dict[str, int],
                 relations: dict[str, int]) -> np.ndarray:
-    """A split file's id rows: one (n, 3) block per chunk, then one concatenation."""
-    blocks = [np.zeros((0, 3), np.int64)]
+    """A split file's id rows, each chunk written into one (n, 3) array grown in place."""
+    rows = np.empty((0, 3), np.int64)
     for (heads, relation, tails), _ in read_rows(path, 3):
-        n = len(heads)
+        n, end = len(heads), len(rows)
         stream = [""] * (2 * n)
         stream[0::2], stream[1::2] = heads, tails
-        blocks.append(np.empty((n, 3), np.int64))
-        blocks[-1][:, 0::2] = _dense_ids(entities, stream).reshape(n, 2)
-        blocks[-1][:, 1] = _dense_ids(relations, relation)
-    return np.concatenate(blocks)
+        rows.resize((end + n, 3), refcheck=False)  # realloc; no view of rows is held
+        rows[end:, 0::2] = _dense_ids(entities, stream).reshape(n, 2)
+        rows[end:, 1] = _dense_ids(relations, relation)
+    return rows
 
 
 def _dense_ids(labels: dict[str, int], stream: list[str]) -> np.ndarray:
@@ -75,20 +75,33 @@ def _drop_repeats(rows: np.ndarray, n_entities: int, n_relations: int,
                   path: str | Path) -> np.ndarray:
     """Keep each id triple's first row, warning with the number dropped.
 
-    Rows are compared by the int64 key (head*|R| + relation)*|E| + tail, built
-    in place, or whole where that key could wrap: exact, but slower.
+    Rows are compared by the int64 key (head*|R| + relation)*|E| + tail, or
+    whole where that key could wrap: exact, but slower.  A sorted key with no
+    equal neighbours returns rows as they are; only a split that repeats a
+    triple pays for np.unique's first-occurrence indices.
     """
     key = rows
     if n_entities ** 2 * n_relations < 2 ** 63:
-        key = rows[:, 0] * n_relations
-        key += rows[:, 1]
-        key *= n_entities
-        key += rows[:, 2]
+        key = _triple_keys(rows, n_entities, n_relations)
+        key.sort()
+        if not (key[1:] == key[:-1]).any():
+            return rows
+        key = _triple_keys(rows, n_entities, n_relations)  # sorting lost the row order
     _, first = np.unique(key, return_index=True, axis=0)
     if len(first) < len(rows):
         logger.warning("%s: dropped %d duplicate triple line(s)", path, len(rows) - len(first))
         rows = rows[np.sort(first)]
     return rows
+
+
+def _triple_keys(rows: np.ndarray, n_entities: int, n_relations: int,
+                 known: int = 0, candidate: int = 2, out: np.ndarray | None = None) -> np.ndarray:
+    """The int64 keys (rows[:, known]*|R| + relation)*|E| + rows[:, candidate], built in out."""
+    out = np.multiply(rows[:, known], n_relations, out=out)
+    out += rows[:, 1]
+    out *= n_entities
+    out += rows[:, candidate]
+    return out
 
 
 @dataclass(eq=False, repr=False)  # array fields; a large vocabulary would print in full

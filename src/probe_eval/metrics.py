@@ -84,7 +84,11 @@ def _affine_denominator(alpha: float, n_entities: int) -> float:
         raise ValidationError(f"affine transform requires alpha > 0, got {alpha}")
     if n_entities < 2:
         raise ValidationError(f"affine transform requires n_entities >= 2, got {n_entities}")
-    denom = 1.0 - float(n_entities) ** -alpha
+    try:
+        power = float(n_entities) ** -alpha
+    except OverflowError:  # n_entities >= 2**1024; math.log takes any int
+        power = math.exp(-alpha * math.log(n_entities))
+    denom = 1.0 - power
     if denom == 0.0:
         raise ValidationError(
             f"alpha={alpha} underflows the affine denominator for n_entities={n_entities}")

@@ -21,7 +21,7 @@ from typing import Collection, Iterator, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError, open_text, read_rows
-from .kg_data import KnowledgeGraph
+from .kg_data import KnowledgeGraph, _triple_keys
 
 logger = logging.getLogger(__name__)
 
@@ -198,7 +198,8 @@ def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
     Sorted distinct int64 entity ids, looked up in an index over train,
     valid and test that is built on the graph's first call: per direction,
     the sorted distinct keys ``(known * |R| + relation) * |E| + candidate``,
-    written split by split into one array and sorted in place.
+    written split by split into one array and sorted in place, then compacted
+    only where the splits share a triple.
     """
     if query.gold_id < 0 or query.relation_id < 0:
         raise ValidationError(f"query {query.key()} is not resolved against the graph")
@@ -215,16 +216,13 @@ def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
             keys = np.empty(sum(map(len, splits)), np.int64)
             end = 0
             for split in splits:
-                part = keys[end:end + len(split)]
-                np.multiply(split[:, known], n_relations, out=part)
-                part += split[:, 1]
-                part *= n_entities
-                part += split[:, candidate]
+                _triple_keys(split, n_entities, n_relations, known, candidate,
+                             out=keys[end:end + len(split)])
                 end += len(split)
             keys.sort()
             distinct = np.ones(len(keys), bool)
             np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-            index[direction] = keys[distinct]
+            index[direction] = keys if distinct.all() else keys[distinct]
     keys = index[query.direction]
     known = query.tail_id if query.direction is Direction.HEAD else query.head_id
     base = (known * n_relations + query.relation_id) * n_entities
@@ -376,6 +374,10 @@ def iter_score_rows(path: str | Path,
                 scores=vector)
 
 
+# An id triple as one record: NumPy orders and compares records field by field
+_TRIPLE = np.dtype([("h", np.int64), ("r", np.int64), ("t", np.int64)])
+
+
 def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
                     tie: TiePolicy, raw: bool = False,
                     allow_partial: bool = False) -> RankTable:
@@ -385,19 +387,22 @@ def rank_score_file(path: str | Path, graph: KnowledgeGraph, pop: np.ndarray,
     allow_partial is set; rows that are not test queries are rejected, and
     an error in a row names its ``path:line``.  Output order is the
     canonical query order (head-masked then tail-masked per test triple):
-    a row's id triple finds its test row in one map, and query 2*row (head)
+    a row's id triple finds its test row by binary search over the test
+    triples as (h, r, t) records in sorted order, and query 2*row (head)
     or 2*row + 1 (tail).  Keys and popularities are built for the ranked
     queries only.
     """
-    test_row = {triple: i for i, triple in enumerate(zip(*graph.test.T.tolist()))}
+    test = np.ascontiguousarray(graph.test, np.int64).view(_TRIPLE).ravel()
+    order = test.argsort()
     ranks = np.zeros(2 * len(graph.test), dtype=np.int64)  # 0: no row read yet
     for lineno, row in iter_score_rows(path, graph):
         query = row.query
-        idx = test_row.get((query.head_id, query.relation_id, query.tail_id))
-        if idx is None:
+        triple = np.array((query.head_id, query.relation_id, query.tail_id), _TRIPLE)
+        at = int(test.searchsorted(triple, sorter=order))
+        if at == len(test) or test[order[at]] != triple:
             raise ValidationError(f"score row {query.key()} does not match any "
                                   "test query", path=path, line=lineno)
-        idx = 2 * idx + (query.direction is Direction.TAIL)
+        idx = 2 * int(order[at]) + (query.direction is Direction.TAIL)
         if ranks[idx]:
             raise ValidationError(f"duplicate score row for query {query.key()}",
                                   path=path, line=lineno)

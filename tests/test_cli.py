@@ -841,6 +841,54 @@ def test_integers_over_the_digit_limit_are_one_error_line(toy_dataset, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+# Every numeric flag of each command that takes one
+NUMERIC_FLAGS = {
+    "eval": ("--epsilon", "--entities", "--alpha", "--beta", "--hits", "--strata", "--threads"),
+    "compare": ("--epsilon", "--entities", "--alpha", "--beta", "--hits", "--strata",
+                "--threads"),
+    "sweep": ("--epsilon", "--entities", "--alphas", "--betas", "--base", "--bins", "--threads"),
+    "rank": ("--seed", "--threads"),
+    "synth": ("--n", "--seed"),
+}
+EXTREME_VALUES = {
+    "2**63": str(2 ** 63),
+    "310-digits": "1" + "0" * 309,  # 10**309 >= 2**1024: float() of it overflows
+    "5001-digits": "1" + "0" * 5000,  # over int()'s digit limit
+    "subnormal": "5e-324",
+    "nan": "nan",
+    "1e309": "1e309",
+    "minus-zero": "-0",
+    "underscore": "1_0",
+}
+
+
+@pytest.mark.parametrize("value", EXTREME_VALUES.values(), ids=EXTREME_VALUES)
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags
+                                           in NUMERIC_FLAGS.items() for flag in flags])
+def test_extreme_numeric_flag_keeps_the_cli_contract(toy_dataset, rankfile, tmp_path, capsys,
+                                                      command, flag, value):
+    """Exit 0, 1 or 2 and at most one error[...] line.  dispatch maps every error
+    the commands raise to an exit code, so an exception escaping it is the
+    traceback the command line would print."""
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(json.dumps(row) + "\n" for row in TOY_SCORE_ROWS),
+                      encoding="utf-8")
+    profile = write_profile(tmp_path / "p.json", {"kind": "explicit", "ranks": [1, 2]})
+    out = str(tmp_path / "out")
+    argv = {
+        "eval": ["--ranks", str(rankfile), "--entities", "10"],
+        "compare": ["--ranks", f"a={rankfile}", f"b={rankfile}", "--entities", "10"],
+        "sweep": ["--ranks", f"a={rankfile}", "--entities", "10", "--out", out],
+        "rank": ["--scores", str(scores), "--dataset", str(toy_dataset), "--tie", "random",
+                 "--seed", "0", "--out", out],
+        "synth": ["--profile", profile, "--n", "2", "--seed", "0", "--out", out],
+    }[command]
+    argv += [flag, f"{value},{value}" if flag == "--base" else value]  # the last value wins
+    assert run_cli(command, *argv) in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error[") <= 1, err
+
+
 def _mutate_score_lines(lines: list[bytes], data) -> tuple[list[bytes], str]:
     """One hostile edit of a JSON-lines score file, drawn by Hypothesis."""
     kind = data.draw(st.sampled_from([

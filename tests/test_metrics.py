@@ -75,6 +75,13 @@ class TestRtAffine:
         with pytest.raises(ValidationError):
             rt_affine(1, -1.0, 10)
 
+    def test_entity_count_too_large_for_a_float(self):
+        """float(10**400) overflows; n**-alpha is then taken through logarithms,
+        and a count a float holds keeps its exact bits."""
+        assert rt_affine(1, 1.0, 10 ** 400) == 1.0
+        assert rt_affine(2, 1.0, 10 ** 400) == 0.5
+        assert rt_affine(2, 0.5, 2 ** 1023) == (2.0 ** -0.5 - 1.0) / (1.0 - 2.0 ** -511.5) + 1.0
+
     def test_tiny_entity_count_rejected(self):
         with pytest.raises(ValidationError):
             rt_affine(1, 1.0, 1)

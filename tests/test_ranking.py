@@ -135,15 +135,19 @@ class TestFilterSet:
             filter_set(query, g)
         assert "4294967297 entities and 1 relations overflow" in str(error.value)
 
-    def test_index_build_holds_one_key_array_at_a_time(self):
-        """Building the index allocates, beyond the two key arrays it keeps, less
-        than twice one direction's key array: 5.1 -> 1.3 times it here.  Each
-        direction's keys are written split by split into one array and sorted in
-        place; a copy of all three splits' columns and a sort copy made the 5.1."""
+    @staticmethod
+    def index_build_overhead(shared: bool) -> float:
+        """What the first filter_set call allocates beyond the index it keeps, in
+        units of one direction's key array, over 60,000 drawn train triples and
+        5,000 valid and test triples that are train's (shared) or not."""
         rng = np.random.default_rng(11)
         train = [(f"e{h}", f"r{r}", f"e{t}")
                  for h, r, t in rng.integers(0, [3_000, 50, 3_000], size=(60_000, 3))]
-        g = graph_of(*train, valid=train[:5_000], test=train[5_000:10_000])
+        if shared:
+            g = graph_of(*train, valid=train[:5_000], test=train[5_000:10_000])
+        else:
+            train = list(dict.fromkeys(train))
+            g = graph_of(*train[10_000:], valid=train[:5_000], test=train[5_000:10_000])
         query = make_queries(g, compute_popularity(g))[0]
         tracemalloc.start()
         try:
@@ -151,8 +155,21 @@ class TestFilterSet:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        one_direction = 8 * (len(g.train) + len(g.valid) + len(g.test))
-        assert peak - kept < 2 * one_direction, (peak - kept, one_direction)
+        return (peak - kept) / (8 * (len(g.train) + len(g.valid) + len(g.test)))
+
+    def test_index_build_holds_one_key_array_at_a_time(self):
+        """Building the index allocates, beyond the two key arrays it keeps, less
+        than twice one direction's key array: 5.1 -> 1.3 times it here.  Each
+        direction's keys are written split by split into one array and sorted in
+        place; a copy of all three splits' columns and a sort copy made the 5.1."""
+        assert self.index_build_overhead(shared=True) < 2
+
+    def test_index_build_keeps_keys_that_do_not_repeat(self):
+        """Where no two splits share a triple, building the index allocates, beyond
+        the two key arrays it keeps, less than half of one: 1.1 -> 0.25 times it
+        here.  A sorted key array without repeats is kept as it is; compacting it
+        into a copy made the 1.1."""
+        assert self.index_build_overhead(shared=False) < 0.5
 
 
 class TestRankOfGold:
@@ -501,9 +518,11 @@ class TestRankScoreFile:
 
     def test_holds_no_object_per_test_query(self, tmp_path):
         """With 4 score rows and 20,000 test triples, the traced peak per test query
-        is below 160 bytes: 318 -> 97 here.  A row finds its query through one map
-        from id triple to test row; a Query object and a key string per query, with
-        a dict over the keys, made the 318."""
+        is below 48 bytes: 318 -> 97 -> 14 here.  A row finds its test triple by
+        binary search over the triples as sorted records, and the rank column is
+        the one array per query; a Query object and a key string per query, with
+        a dict over the keys, made the 318, and a dict from id-triple tuple to
+        test row the 97."""
         n_entities, n_test = 2_000, 20_000
         rng = np.random.default_rng(5)
         drawn = rng.integers(0, [n_entities, 20, n_entities], size=(n_test + 500, 3))
@@ -523,7 +542,7 @@ class TestRankScoreFile:
         finally:
             tracemalloc.stop()
         assert len(g.test) == n_test and len(table) == 4
-        assert peak < 160 * 2 * n_test, f"traced peak {peak} bytes"
+        assert peak < 48 * 2 * n_test, f"traced peak {peak} bytes"
 
     def test_raw_ranks_where_a_filter_key_could_wrap(self, tmp_path):
         """rank --raw runs where |E|**2 * |R| >= 2**63.  These two test triples'
