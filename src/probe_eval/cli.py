@@ -185,6 +185,9 @@ def _load_models(args, model_files: Mapping[str, str | Path], alpha: float, beta
     Returns the MetricConfig at (alpha, beta), the dataset's popularity
     column (None without --dataset) and each model's RankTable.  Only an
     entity count taken from the dataset is checked after a file is read.
+    Of the dataset only the entity label->id map and the popularity column
+    are kept: its split arrays are released before any rank file is read.
+    The tables share one string object per distinct query key.
     """
     if args.entities is not None and args.entities < 2:
         raise ValidationError(f"--entities must be >= 2, got {args.entities}")
@@ -194,12 +197,15 @@ def _load_models(args, model_files: Mapping[str, str | Path], alpha: float, beta
     # alpha, beta and epsilon need no entity count: check them in raw mode
     config = MetricConfig(alpha=alpha, beta=beta, epsilon=args.epsilon, affine=False)
     graph, pop = load_dataset(args.dataset) if args.dataset else (None, None)
+    vocabulary = graph.entity_ids if graph is not None else None
+    del graph  # the last reference to the split arrays
     config = replace(config, affine=not args.no_affine,
                      entity_count=args.entities if args.entities is not None
-                     else graph.n_entities if graph is not None else None)
+                     else len(vocabulary) if vocabulary is not None else None)
     tables = {}
+    shared: dict[str, str] = {}
     for name, path in model_files.items():
-        tables[name] = load_rank_file(path, graph=graph, popularity=pop)
+        tables[name] = load_rank_file(path, vocabulary, pop, shared)
         if not len(tables[name]):
             raise ValidationError(f"rank file {path} holds no records")
     return config, pop, tables

@@ -76,7 +76,16 @@ def rt_raw(rank: int, alpha: float) -> float:
     """
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    return float(rank) ** -alpha
+    return _power(rank, alpha)
+
+
+def _power(n: int, alpha: float) -> float:
+    """n ** -alpha, with the bits of float(n) ** -alpha for every n below 2**1024."""
+    try:
+        base = float(n)
+    except OverflowError:  # n >= 2**1024; math.log takes any int
+        return math.exp(-alpha * math.log(n))
+    return base ** -alpha
 
 
 def _affine_denominator(alpha: float, n_entities: int) -> float:
@@ -84,11 +93,7 @@ def _affine_denominator(alpha: float, n_entities: int) -> float:
         raise ValidationError(f"affine transform requires alpha > 0, got {alpha}")
     if n_entities < 2:
         raise ValidationError(f"affine transform requires n_entities >= 2, got {n_entities}")
-    try:
-        power = float(n_entities) ** -alpha
-    except OverflowError:  # n_entities >= 2**1024; math.log takes any int
-        power = math.exp(-alpha * math.log(n_entities))
-    denom = 1.0 - power
+    denom = 1.0 - _power(n_entities, alpha)
     if denom == 0.0:
         raise ValidationError(
             f"alpha={alpha} underflows the affine denominator for n_entities={n_entities}")

@@ -95,8 +95,9 @@ class RankTable:
     """Evaluated queries as index-aligned columns.
 
     keys holds one ``head<TAB>relation<TAB>tail<TAB>direction`` string per
-    record, the identity used to match queries across models; ranks and
-    pops (gold popularities) are int64 arrays.
+    record, the identity used to match queries across models; the tables
+    of one run may share these string objects (see load_rank_file).  ranks
+    and pops (gold popularities) are int64 arrays.
     """
 
     keys: list[str]
@@ -108,18 +109,27 @@ class RankTable:
 
 
 def check_same_queries(tables: Mapping[str, RankTable]) -> None:
-    """Reject models that do not rank the same query set as the first one."""
+    """Reject models that do not rank the same query set as the first one.
+
+    A table whose keys equal the first table's in the same order passes
+    at once (for keys shared through load_rank_file, a pointer compare);
+    otherwise both key lists are compared sorted, so repeated keys count,
+    and the error names their first divergence in sorted order.
+    """
     reference, *others = tables
-    ref_keys = sorted(tables[reference].keys)
+    ref_keys = tables[reference].keys
     for name in others:
-        keys = sorted(tables[name].keys)
+        keys = tables[name].keys
         if len(keys) != len(ref_keys):
             raise ValidationError(
                 f"model {name!r} has {len(keys)} records but {reference!r} "
                 f"has {len(ref_keys)}")
-        if keys != ref_keys:
+        if keys == ref_keys:
+            continue
+        keys, ref_sorted = sorted(keys), sorted(ref_keys)
+        if keys != ref_sorted:
             ref_key, key = next((tuple(a.split("\t")), tuple(b.split("\t")))
-                                for a, b in zip(ref_keys, keys) if a != b)
+                                for a, b in zip(ref_sorted, keys) if a != b)
             raise ValidationError(
                 f"models {reference!r} and {name!r} rank different query sets; "
                 f"first divergence: {ref_key} vs {key}")
@@ -266,21 +276,25 @@ def rank_of_gold(row: ScoreRow, filter_ids: np.ndarray | Collection[int],
 # File formats
 
 
-def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
-                   popularity: np.ndarray | None = None) -> RankTable:
+def load_rank_file(path: str | Path, entity_ids: Mapping[str, int] | None = None,
+                   popularity: np.ndarray | None = None,
+                   shared: dict[str, str] | None = None) -> RankTable:
     """Read ``head<TAB>relation<TAB>tail<TAB>direction<TAB>rank`` records.
 
-    Gold popularity is looked up through the graph vocabulary; entities
-    unknown to it get popularity 0 (one summary warning).  An empty label
-    and a query that appears on two lines are rejected.  The file is read
-    a chunk at a time, and an error names its first faulty line.
+    Gold popularity is popularity[entity_ids[gold label]]; entities unknown
+    to the entity_ids vocabulary (a dataset's label->id map) get popularity
+    0 (one summary warning).  An empty label and a query that appears on
+    two lines are rejected.  The file is read a chunk at a time, and an
+    error names its first faulty line.  ``shared``, a dict that the tables
+    of one run pass to every call, maps each key to the first string object
+    read for it, so equal keys of later files are stored as that object.
     """
     path = Path(path)
     keys: list[str] = []
     ranks: list[int] = []
     gold_ids: list[int] = []
     first_line: dict[str, int] = {}
-    entity_ids = graph.entity_ids if graph is not None else {}
+    vocabulary = entity_ids if entity_ids is not None else {}
     for columns, numbers in read_rows(path, 5):
         for head, relation, tail, direction, rank_text, lineno in zip(*columns, numbers.tolist()):
             if direction not in _DIRECTIONS:
@@ -296,6 +310,8 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
                 raise ValidationError("rank must be >= 1 and < 2**63, got "
                                       f"{rank_text.lstrip('0') or 0}", path=path, line=lineno)
             key = f"{head}\t{relation}\t{tail}\t{direction}"
+            if shared is not None:
+                key = shared.setdefault(key, key)
             first = first_line.setdefault(key, lineno)
             if first != lineno:
                 raise ValidationError(
@@ -303,7 +319,7 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
                     path=path, line=lineno)
             keys.append(key)
             ranks.append(rank)
-            gold_ids.append(entity_ids.get(head if direction == "head" else tail, -1))
+            gold_ids.append(vocabulary.get(head if direction == "head" else tail, -1))
 
     ids = np.array(gold_ids, dtype=np.int64)
     known = ids >= 0
@@ -311,7 +327,7 @@ def load_rank_file(path: str | Path, graph: KnowledgeGraph | None = None,
     if popularity is not None:
         pops[known] = popularity[ids[known]]
     unknown = len(ids) - int(np.count_nonzero(known))
-    if graph is not None and unknown:
+    if entity_ids is not None and unknown:
         logger.warning("%s: %d record(s) with gold entity unknown to the "
                        "vocabulary; popularity set to 0", path, unknown)
     return RankTable(keys, np.array(ranks, dtype=np.int64), pops)

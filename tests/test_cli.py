@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,12 +11,15 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_toy_dataset
+from probe_eval import cli
 from probe_eval.cli import dispatch
 
 
@@ -425,6 +429,67 @@ class TestCompare:
         assert run_cli("compare", "--ranks", f"full={rankfile}", f"other={other}",
                        "--entities", "10", "--format", "json") == 1
         assert "first divergence" in single_error_line(capsys, "validation")
+
+
+class TestLoadModels:
+    """What eval, compare and sweep hold while they score: each query key once
+    per run, and none of the dataset's split arrays."""
+
+    N = 20_000
+    ARGS = argparse.Namespace(entities=10 ** 6, dataset=None, no_affine=False, epsilon=1.0)
+
+    @pytest.fixture
+    def same_queries(self, tmp_path):
+        """Two rank files over the same queries, the second in reverse order."""
+        lines = [f"head{i:05d}\trelation\ttail{i:05d}\ttail\t{i + 1}\n"
+                 for i in range(self.N)]
+        first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        first.write_text("".join(lines), encoding="utf-8")
+        second.write_text("".join(reversed(lines)), encoding="utf-8")
+        return {"a": first, "b": second}
+
+    def test_tables_share_key_strings(self, same_queries):
+        _, _, tables = cli._load_models(self.ARGS, same_queries, 1.0, 0.0)
+        first, second = tables["a"].keys, tables["b"].keys
+        assert first == second[::-1]
+        assert all(a is b for a, b in zip(first, reversed(second)))
+
+    def test_second_table_holds_no_key_string(self, same_queries):
+        """A second table over the same queries adds a key pointer, a rank
+        and a popularity per record, at most 40 bytes under tracemalloc
+        (~25 here); a string of its own per key made it over 100."""
+        def held(model_files) -> int:
+            tracemalloc.start()
+            try:
+                loaded = cli._load_models(self.ARGS, model_files, 1.0, 0.0)  # held while measured
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        one = held({"a": same_queries["a"]})
+        assert (held(same_queries) - one) / self.N <= 40
+
+    def test_split_arrays_released_before_rank_files(self, toy_dataset, rankfile,
+                                                     monkeypatch):
+        """Of load_dataset's graph only the vocabulary and popularity are kept:
+        no split array is alive when the first rank file is read."""
+        trains, alive = [], []
+        original_load_dataset, original_load_rank_file = cli.load_dataset, cli.load_rank_file
+
+        def load_dataset(directory):
+            graph, pop = original_load_dataset(directory)
+            trains.append(weakref.ref(graph.train))
+            return graph, pop
+
+        def load_rank_file(*args, **kwargs):
+            alive.append(trains[0]() is not None)
+            return original_load_rank_file(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", load_dataset)
+        monkeypatch.setattr(cli, "load_rank_file", load_rank_file)
+        assert run_cli("compare", "--ranks", f"a={rankfile}", f"b={rankfile}",
+                       "--dataset", str(toy_dataset), "--format", "json") == 0
+        assert alive == [False, False]
 
 
 class TestSynth:

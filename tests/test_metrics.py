@@ -43,6 +43,14 @@ class TestRtRaw:
         with pytest.raises(ValidationError):
             rt_raw(0, 1.0)
 
+    def test_rank_too_large_for_a_float(self):
+        """float(10**400) overflows; rank**-alpha is then taken through
+        logarithms, and a rank a float holds keeps its exact bits."""
+        assert rt_raw(10 ** 400, 1.0) == 0.0
+        assert rt_raw(10 ** 400, 0.0) == 1.0
+        assert rt_affine(10 ** 400, 1.0, 10 ** 400) == 0.0  # exactly 0.0 at rank n
+        assert rt_raw(2 ** 1023, 0.5) == 2.0 ** -511.5
+
     @given(r1=st.integers(1, 10_000), r2=st.integers(1, 10_000), alpha=alphas_pos)
     def test_anti_monotone(self, r1, r2, alpha):
         if r1 < r2:

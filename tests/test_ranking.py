@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from conftest import brute_force_rank, dataset_of, make_records
 from probe_eval.errors import ParseError, ValidationError
 from probe_eval.kg_data import compute_popularity, load_dataset
-from probe_eval.ranking import (Direction, Query, RankRecord, ScoreRow,
-                                TiePolicy, filter_set, load_rank_file,
-                                make_queries, rank_of_gold, rank_score_file,
-                                write_rank_file)
+from probe_eval.ranking import (Direction, Query, RankRecord, RankTable, ScoreRow,
+                                TiePolicy, check_same_queries, filter_set,
+                                load_rank_file, make_queries, rank_of_gold,
+                                rank_score_file, write_rank_file)
 
 
 def graph_of(*train, valid=(), test=()):
@@ -335,7 +335,7 @@ class TestRankFileIO:
         g, pop = load_dataset(toy_dataset)
         path = tmp_path / "r.tsv"
         path.write_text("a\tr1\tb\ttail\t2\n", encoding="utf-8")
-        table = load_rank_file(path, graph=g, popularity=pop)
+        table = load_rank_file(path, g.entity_ids, popularity=pop)
         assert table.pops.tolist() == [pop[g.entity_ids["b"]]]
 
     def test_unknown_entity_warns_and_zeroes(self, tmp_path, toy_dataset, caplog):
@@ -343,7 +343,7 @@ class TestRankFileIO:
         path = tmp_path / "r.tsv"
         path.write_text("zz\tr1\tunknown\ttail\t2\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            table = load_rank_file(path, graph=g, popularity=pop)
+            table = load_rank_file(path, g.entity_ids, popularity=pop)
         assert table.pops.tolist() == [0]
         assert "unknown to the vocabulary" in caplog.text
 
@@ -362,6 +362,54 @@ class TestRankFileIO:
         loaded = load_rank_file(path)
         assert loaded.keys == table.keys
         assert loaded.ranks.tolist() == table.ranks.tolist()
+
+
+def keyed(*keys: str) -> RankTable:
+    """A rank table of library-built keys, which may repeat; every rank is 1."""
+    return RankTable(list(keys), np.ones(len(keys), np.int64), np.zeros(len(keys), np.int64))
+
+
+class TestCheckSameQueries:
+    HEAD, TAIL, OTHER = "a\tr\tb\thead", "a\tr\tb\ttail", "x\tr\tb\thead"
+
+    def test_same_keys_in_another_order_pass(self):
+        check_same_queries({"a": make_records([1, 2, 3]),
+                            "b": make_records([3, 2, 1], index=[2, 0, 1]),
+                            "c": make_records([1, 1, 1], index=[1, 2, 0])})
+
+    def test_divergence_message_of_two_tables(self):
+        """The first divergence is taken in sorted order, not in file order."""
+        with pytest.raises(ValidationError) as error:
+            check_same_queries({"a": keyed(self.TAIL, self.HEAD),
+                                "b": keyed(self.OTHER, self.TAIL)})
+        assert str(error.value) == (
+            "models 'a' and 'b' rank different query sets; first divergence: "
+            "('a', 'r', 'b', 'head') vs ('a', 'r', 'b', 'tail')")
+
+    def test_divergence_message_of_three_tables(self):
+        """A table that matches the first in another order passes; the next
+        that differs is named against the first."""
+        with pytest.raises(ValidationError) as error:
+            check_same_queries({"a": keyed(self.HEAD, self.TAIL),
+                                "b": keyed(self.TAIL, self.HEAD),
+                                "c": keyed(self.HEAD, self.OTHER)})
+        assert str(error.value) == (
+            "models 'a' and 'c' rank different query sets; first divergence: "
+            "('a', 'r', 'b', 'tail') vs ('x', 'r', 'b', 'head')")
+
+    def test_repeated_keys_count(self):
+        """Tables built by the library may repeat a key: [a, a, b] and [a, b, b]
+        hold the same set of keys, but not the same queries."""
+        with pytest.raises(ValidationError) as error:
+            check_same_queries({"a": keyed(self.HEAD, self.HEAD, self.TAIL),
+                                "b": keyed(self.HEAD, self.TAIL, self.TAIL)})
+        assert str(error.value) == (
+            "models 'a' and 'b' rank different query sets; first divergence: "
+            "('a', 'r', 'b', 'head') vs ('a', 'r', 'b', 'tail')")
+
+    def test_repeated_keys_in_another_order_pass(self):
+        check_same_queries({"a": keyed(self.HEAD, self.HEAD, self.TAIL),
+                            "b": keyed(self.TAIL, self.HEAD, self.HEAD)})
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ class TestParity:
             path = write_lines(Path(tmp) / "ranks.tsv", *file)
             expected = table_outcome(reference_load_rank_file, path, graph, pop)
             with chunked(chunk):
-                assert table_outcome(load_rank_file, path, graph, pop) == expected
+                assert table_outcome(load_rank_file, path, graph.entity_ids, pop) == expected
 
     def test_empty_field_before_wrong_field_count(self, tmp_path):
         path = tmp_path / "train.txt"
