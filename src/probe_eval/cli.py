@@ -19,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -73,15 +73,8 @@ class RunManifest:
         self.inputs[str(path)] = f"sha256:{digest.hexdigest()}"
 
     def write(self, path: str | Path) -> None:
-        payload = {
-            "tool": PROG,
-            "version": __version__,
-            "command": self.command,
-            "argv": self.argv,
-            "config": self.config,
-            "inputs": self.inputs,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-        }
+        payload = {"tool": PROG, "version": __version__, **asdict(self),
+                   "created_utc": datetime.now(timezone.utc).isoformat()}
         _write_json(payload, path)
 
 

@@ -8,10 +8,10 @@ LF, CRLF or CR.  Labels are opaque byte strings compared exactly.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import count
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -22,25 +22,8 @@ logger = logging.getLogger(__name__)
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")  # a dataset directory's layout
 
 
-def _ids(paths: Sequence[str | Path]) -> tuple[dict[str, int], dict[str, int], list[np.ndarray]]:
-    """Entity and relation label->id maps plus the id rows of each split file.
-
-    Ids are dense, in first-appearance order (heads and tails interleaved).
-    The maps hold them from the first chunk on, so a label's id does not
-    change when later splits add labels.  A split's repeated triples are
-    dropped, with a warning naming its path, as soon as it is read.
-    """
-    entities: dict[str, int] = {}
-    relations: dict[str, int] = {}
-    rows = []
-    for path in paths:
-        split = _split_rows(path, entities, relations)
-        rows.append(_drop_repeats(split, len(entities), len(relations), path))
-    return entities, relations, rows
-
-
-def _split_rows(path: str | Path, entities: dict[str, int],
-                relations: dict[str, int]) -> np.ndarray:
+def _split_rows(path: str | Path, entities: defaultdict[str, int],
+                relations: defaultdict[str, int]) -> np.ndarray:
     """A split file's id rows, each chunk written into one (n, 3) array grown in place."""
     rows = np.empty((0, 3), np.int64)
     for (heads, relation, tails), _ in read_rows(path, 3):
@@ -48,27 +31,10 @@ def _split_rows(path: str | Path, entities: dict[str, int],
         stream = [""] * (2 * n)
         stream[0::2], stream[1::2] = heads, tails
         rows.resize((end + n, 3), refcheck=False)  # realloc; no view of rows is held
-        rows[end:, 0::2] = _dense_ids(entities, stream).reshape(n, 2)
-        rows[end:, 1] = _dense_ids(relations, relation)
+        ids = np.fromiter(map(entities.__getitem__, stream), np.int64, 2 * n)
+        rows[end:, 0::2] = ids.reshape(n, 2)
+        rows[end:, 1] = np.fromiter(map(relations.__getitem__, relation), np.int64, n)
     return rows
-
-
-def _dense_ids(labels: dict[str, int], stream: list[str]) -> np.ndarray:
-    """The ids of a chunk's labels, adding its new labels to the map in order.
-
-    setdefault offers label i the value len(labels) + i.  A known label returns
-    its id; a new one returns the offer made at its first occurrence, and the
-    rank of that occurrence among the chunk's first occurrences is its id offset.
-    """
-    known = len(labels)
-    ids = np.fromiter(map(labels.setdefault, stream, count(known)), np.int64, len(stream))
-    at = np.flatnonzero(ids >= known)
-    if len(at):
-        offered = ids[at] - known
-        first = at[offered == at]  # sorted, one per new label
-        ids[at] = known + first.searchsorted(offered)
-        labels.update(zip(map(stream.__getitem__, first.tolist()), count(known)))
-    return ids
 
 
 def _drop_repeats(rows: np.ndarray, n_entities: int, n_relations: int,
@@ -194,10 +160,21 @@ def load_dataset(directory: str | Path) -> tuple[KnowledgeGraph, np.ndarray]:
     """Load a directory's SPLIT_FILES (train, valid, test) and count popularity.
 
     The files are read a chunk at a time and keep no label past its chunk.
-    A triple repeated within one split is kept at its first line, with a
-    warning count.
+    Entity and relation ids are dense, in first-appearance order: heads and
+    tails interleaved, train, then valid, then test.  The maps hold them from
+    the first chunk on, so a label's id does not change when a later split
+    adds labels.  A triple repeated within one split is kept at its first
+    line, with a warning count naming its path.
     """
-    entities, relations, splits = _ids([Path(directory) / name for name in SPLIT_FILES])
+    # a label the map does not hold yet takes the map's next count
+    entities: defaultdict[str, int] = defaultdict(count().__next__)
+    relations: defaultdict[str, int] = defaultdict(count().__next__)
+    splits = []
+    for name in SPLIT_FILES:
+        path = Path(directory) / name
+        rows = _split_rows(path, entities, relations)
+        splits.append(_drop_repeats(rows, len(entities), len(relations), path))
+    entities.default_factory = relations.default_factory = None  # unknown labels raise KeyError
     graph = KnowledgeGraph(entities, relations, *splits)
     return graph, compute_popularity(graph)
 

@@ -264,8 +264,7 @@ def default_bucket_edges(delta_max: int) -> list[int]:
     """Power-of-two popularity edges: 0, 1, 2, 4, ... up to >= delta_max."""
     edges = [0]
     if delta_max >= 1:
-        top = max(0, math.ceil(math.log2(delta_max))) if delta_max > 1 else 0
-        edges.extend(2 ** k for k in range(top + 1))
+        edges.extend(2 ** k for k in range((int(delta_max) - 1).bit_length() + 1))
     return edges
 
 

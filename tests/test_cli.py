@@ -160,13 +160,17 @@ class TestRank:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
-    def test_tie_policy_checked_before_the_dataset_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, message", [
+        ([], "random tie policy requires an explicit seed"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["no-seed", "negative-seed"])
+    def test_tie_policy_checked_before_the_dataset_is_read(self, tmp_path, capsys,
+                                                           flags, message):
         out = tmp_path / "o.tsv"
         assert run_cli("rank", "--scores", str(tmp_path / "missing.jsonl"),
-                       "--dataset", str(tmp_path / "nope"), "--tie", "random",
+                       "--dataset", str(tmp_path / "nope"), "--tie", "random", *flags,
                        "--out", str(out)) == 1
-        assert single_error_line(capsys, "validation") == \
-            "error[validation]: random tie policy requires an explicit seed"
+        assert single_error_line(capsys, "validation") == f"error[validation]: {message}"
         assert not out.exists()
 
     def test_partial_scores_rejected_by_default(self, toy_dataset, scores_file,
@@ -758,10 +762,11 @@ class TestHostileInputs:
         ("sweep", ["--bins", "0,5"], "rank bins must start at 1, got [0]"),
         ("sweep", ["--bins", ""], "--bins expects comma-separated integers, got ''"),
         ("sweep", ["--alphas", "0,1"], "alphas must be > 0, got (0.0, 1.0)"),
+        ("sweep", ["--betas=-1,0"], "betas must be >= 0, got (-1.0, 0.0)"),
         ("eval", ["--strata", "1,2"], "bucket edges must start at 0, got [1]"),
     ], ids=["sweep-alphas-word", "eval-strata-word", "sweep-base-one-number",
             "sweep-bins-from-zero", "sweep-bins-empty", "sweep-alphas-zero",
-            "eval-strata-from-one"])
+            "sweep-betas-negative", "eval-strata-from-one"])
     def test_malformed_list_argument_rejected(self, rankfile, tmp_path, capsys,
                                               command, flags, message):
         """Each flag is checked before any file is read, and nothing is written."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_of, load_train_split, reference_load_dataset
+from probe_eval import errors
 from probe_eval.errors import ParseError
 from probe_eval.kg_data import (DatasetStats, dataset_stats, export_vocabulary,
                                 load_dataset)
@@ -106,6 +108,15 @@ class TestBuildGraph:
         assert g1.relation_ids == g2.relation_ids
         assert np.array_equal(g1.train, g2.train)
 
+    def test_unknown_label_raises_and_adds_no_id(self, toy_dataset):
+        g, _ = load_dataset(toy_dataset)
+        n_entities, n_relations = len(g.entity_ids), len(g.relation_ids)
+        for labels in (g.entity_ids, g.relation_ids):
+            with pytest.raises(KeyError):
+                labels["no such label"]
+        assert (len(g.entity_ids), len(g.relation_ids)) == (n_entities, n_relations)
+        assert g.n_entities == n_entities
+
     def test_split_arrays_resolve_to_vocabulary(self, toy_dataset):
         g, _ = load_dataset(toy_dataset)
         for split in (g.train, g.valid, g.test):
@@ -138,9 +149,10 @@ _split_file = st.tuples(st.lists(st.tuples(_line, st.sampled_from(["\n", "\r\n",
 
 
 class TestLoadDatasetParity:
-    @given(st.tuples(_split_file, _split_file, _split_file))
+    @given(st.tuples(_split_file, _split_file, _split_file), st.integers(1, 256))
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference_loader(self, files):
+    def test_matches_reference_loader(self, files, chunk):
+        """Any read size: chunk boundaries fall within and between the splits."""
         with tempfile.TemporaryDirectory() as tmp:
             directory = Path(tmp)
             for name, (lines, final_newline, byte_order_mark) in zip(
@@ -151,7 +163,8 @@ class TestLoadDatasetParity:
                 if byte_order_mark:
                     text = "\ufeff" + text
                 (directory / name).write_bytes(text.encode("utf-8"))
-            graph, pop = load_dataset(directory)
+            with mock.patch.object(errors, "CHUNK", chunk):
+                graph, pop = load_dataset(directory)
             entities, relations, splits, popularity = reference_load_dataset(directory)
         assert graph.entity_labels == entities
         assert graph.relation_labels == relations

@@ -204,6 +204,10 @@ class TestProbeScore:
         with pytest.raises(ValidationError):
             probe_score(make_records([]), MetricConfig(affine=False))
 
+    def test_rank_below_one_rejected(self):
+        with pytest.raises(ValidationError, match=r"^ranks must be >= 1, got 0$"):
+            probe_score(make_records([3, 0]), MetricConfig(affine=False))
+
     def test_weights_do_not_underflow(self):
         """(1 + 5000)**-90 is 0.0 in floats; the scaled weights are not."""
         assert (1.0 + 5_000) ** -90.0 == 0.0
@@ -594,9 +598,15 @@ class TestDefaultBucketEdges:
         (2, [0, 1, 2]),
         (3, [0, 1, 2, 4]),
         (482, [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512]),
+        (np.int64(5), [0, 1, 2, 4, 8]),  # a popularity column's max
     ])
     def test_edges(self, delta_max, expected):
         assert default_bucket_edges(delta_max) == expected
+
+    @pytest.mark.parametrize("k", [49, 53, 64, 100])
+    def test_top_edge_exact_for_huge_popularity(self, k):
+        assert default_bucket_edges(2 ** k)[-1] == 2 ** k
+        assert default_bucket_edges(2 ** k + 1)[-1] == 2 ** (k + 1)
 
     def test_covers_benchmark_scale_popularity(self):
         edges = default_bucket_edges(7614)

@@ -198,6 +198,13 @@ class TestRankOfGold:
         row = ScoreRow(query_for(1), scores)
         assert rank_of_gold(row, set(), TiePolicy("average")).rank == 3
 
+    @pytest.mark.parametrize("gold", [-1, 3])
+    def test_gold_outside_row_rejected(self, gold):
+        row = ScoreRow(query_for(gold), np.array([0.9, 0.5, 0.1]))
+        with pytest.raises(ValidationError,
+                           match=rf"^gold id {gold} outside score row of length 3$"):
+            rank_of_gold(row, set(), TiePolicy("average"))
+
     def test_gold_in_filter_rejected(self):
         row = ScoreRow(query_for(1), np.array([0.9, 0.5, 0.1]))
         with pytest.raises(ValidationError):

@@ -42,6 +42,12 @@ class TestSweepGrid:
         with pytest.raises(ValidationError):
             SweepGrid(alphas=(0.5, 1.0), betas=(0.0,), base=(2.0, 0.0))
 
+    def test_empty_axis_rejected(self):
+        for axes in ({"alphas": ()}, {"betas": ()}):
+            with pytest.raises(ValidationError,
+                               match=r"^grid needs at least one alpha and one beta$"):
+                SweepGrid(**axes)
+
     def test_ordering_validated(self):
         with pytest.raises(ValidationError):
             SweepGrid(alphas=(1.0, 0.5), betas=(0.0,), base=(1.0, 0.0))

@@ -35,6 +35,10 @@ class TestExplicitProfile:
         with pytest.raises(ValidationError):
             ExplicitProfile(ranks=(0,))
 
+    def test_negative_popularity_rejected(self):
+        with pytest.raises(ValidationError, match=r"^popularities must be >= 0$"):
+            ExplicitProfile(ranks=(1, 2), popularities=(1, -1))
+
     def test_counts_beyond_int64_rejected(self):
         """Ranks and popularities are held in int64 columns."""
         for make in (lambda: ExplicitProfile(ranks=(2 ** 63,)),
@@ -180,6 +184,8 @@ class TestProfileJson:
             PopularityStratum(low=5, high=2)
         with pytest.raises(ValidationError, match=r"^range popularity rule needs low and high$"):
             PopularityStratum()
+        with pytest.raises(ValidationError, match=r"^popularity must be >= 0, got -1$"):
+            PopularityStratum(constant=-1)
 
 
 class TestOracle:
