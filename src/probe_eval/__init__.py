@@ -22,7 +22,7 @@ _HOME_OF = {name: module for module, names in {  # public name -> the module def
                "rt_raw stratified_breakdown",
     "ranking": "Direction Query RankTable ScoreRow TiePolicy filter_set load_rank_file "
                "make_queries rank_of_gold rank_score_file write_rank_file",
-    "sweep": "CellRanking Flip RankBin SweepGrid SweepResult find_flips rank_histogram run_sweep "
+    "sweep": "CellRanking Flip SweepGrid SweepResult find_flips rank_histogram run_sweep "
              "surface_export",
     "synthetic": "ExplicitProfile MixtureProfile PopularityStratum RankProfile generate "
                  "load_profile oracle_probe profile_from_dict",

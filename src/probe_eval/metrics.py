@@ -249,12 +249,16 @@ def hits_at_k(table: RankTable, k: int) -> float:
 
 @dataclass(frozen=True)
 class Stratum:
-    """One popularity bucket [lo, hi) -- hi None means unbounded."""
+    """One bucket [lo, hi) of popularities or ranks -- hi None means unbounded.
+
+    A popularity stratum carries its score (None when empty); a rank bin
+    has none.
+    """
 
     lo: int
     hi: int | None
     count: int
-    score: float | None
+    score: float | None = None
 
     def to_json_dict(self) -> dict:
         return asdict(self)

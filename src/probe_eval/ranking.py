@@ -85,10 +85,6 @@ class RankRecord:
     query: Query
     rank: int
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
-
 
 @dataclass(frozen=True)
 class RankTable:
@@ -211,9 +207,10 @@ def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
     written split by split into one array and sorted in place, then compacted
     only where the splits share a triple.
     """
-    if query.gold_id < 0 or query.relation_id < 0:
-        raise ValidationError(f"query {query.key()} is not resolved against the graph")
     n_entities, n_relations = graph.n_entities, graph.n_relations
+    if not (0 <= query.head_id < n_entities and 0 <= query.tail_id < n_entities
+            and 0 <= query.relation_id < n_relations):
+        raise ValidationError(f"query {query.key()} is not resolved against the graph")
     index = graph._filter_index
     if index is None:
         if n_entities ** 2 * n_relations >= 2 ** 63:  # a key could wrap and match wrongly
@@ -243,33 +240,32 @@ def filter_set(query: Query, graph: KnowledgeGraph) -> np.ndarray:
 
 def rank_of_gold(row: ScoreRow, filter_ids: np.ndarray | Collection[int],
                  tie: TiePolicy) -> RankRecord:
-    """Rank the gold entity among non-filtered candidates.
+    """Rank the gold entity among the candidates the filter leaves.
 
-    rank = 1 + (# strictly better) + tie adjustment.  Both counts are taken
-    over the whole row, less the filtered candidates' share, so filter_ids
-    must be distinct.  Non-finite scores are rejected; the gold entity must
-    not be in the filter set.
+    rank = 1 + (# strictly better) + tie adjustment, both counts taken over
+    the row less the gold and every filter id; an id given twice is left
+    out once.  Filter ids must lie inside the row and must not include the
+    gold; non-finite scores are rejected.
     """
     query = row.query
     gold = query.gold_id
     scores = np.asarray(row.scores, dtype=np.float64)
     if gold < 0 or gold >= len(scores):
         raise ValidationError(f"gold id {gold} outside score row of length {len(scores)}")
-    if not isinstance(filter_ids, np.ndarray):
-        filter_ids = np.fromiter(filter_ids, dtype=np.int64, count=len(filter_ids))
-    if np.any(filter_ids == gold):
+    ids = np.fromiter(filter_ids, dtype=np.int64, count=len(filter_ids))
+    if len(ids) and (ids.min() < 0 or ids.max() >= len(scores)):
+        raise ValidationError(f"filter id outside score row of length {len(scores)}")
+    if np.any(ids == gold):
         raise ValidationError(f"gold entity {query.gold!r} present in its own filter set")
     if not np.isfinite(scores).all():
         raise ValidationError(f"non-finite score in row for query {query.key()}")
 
+    left = np.ones(len(scores), dtype=bool)
+    left[ids] = left[gold] = False
     gold_score = scores[gold]
-    filtered = scores[filter_ids]
-    better = (np.count_nonzero(scores > gold_score)
-              - np.count_nonzero(filtered > gold_score))
-    ties = (np.count_nonzero(scores == gold_score) - 1  # the gold itself
-            - np.count_nonzero(filtered == gold_score))
-    rank = 1 + better + tie.adjustment(ties, query)
-    return RankRecord(query=query, rank=rank)
+    better = np.count_nonzero(left & (scores > gold_score))
+    ties = np.count_nonzero(left & (scores == gold_score))
+    return RankRecord(query=query, rank=1 + better + tie.adjustment(ties, query))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricConfig, bucket_masks, score_grid
+from .metrics import MetricConfig, Stratum, bucket_masks, score_grid
 from .ranking import RankTable, check_same_queries
 
 TIE_TOLERANCE = 1e-12
@@ -172,19 +172,10 @@ def run_sweep(models: Mapping[str, RankTable], grid: SweepGrid,
     return result
 
 
-@dataclass(frozen=True)
-class RankBin:
-    """Half-open rank bin [lo, hi); hi None means unbounded."""
-
-    lo: int
-    hi: int | None
-    count: int
-
-
 def rank_histogram(table: RankTable,
-                   bins: Sequence[int] = DEFAULT_RANK_BINS) -> list[RankBin]:
+                   bins: Sequence[int] = DEFAULT_RANK_BINS) -> list[Stratum]:
     """Count records per rank bin; the final bin is [last edge, inf)."""
-    return [RankBin(lo=lo, hi=hi, count=int(np.count_nonzero(mask)))
+    return [Stratum(lo=lo, hi=hi, count=int(np.count_nonzero(mask)))
             for lo, hi, mask in bucket_masks(table.ranks, bins, 1, "rank bins")]
 
 
@@ -204,7 +195,7 @@ def surface_export(result: SweepResult, path: str | Path) -> None:
                     writer.writerow([model, repr(alpha), repr(beta), f"{score:.17g}"])
 
 
-def histogram_export(per_model: Mapping[str, Sequence[RankBin]],
+def histogram_export(per_model: Mapping[str, Sequence[Stratum]],
                      path: str | Path) -> None:
     """Write per-model rank histograms: model,lo,hi,count (hi empty = inf)."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_rank, dataset_of, make_records
 from probe_eval.errors import ParseError, ValidationError
 from probe_eval.kg_data import compute_popularity, load_dataset
-from probe_eval.ranking import (Direction, Query, RankRecord, RankTable, ScoreRow,
+from probe_eval.ranking import (Direction, Query, RankTable, ScoreRow,
                                 TiePolicy, check_same_queries, filter_set,
                                 load_rank_file, make_queries, rank_of_gold,
                                 rank_score_file, write_rank_file)
@@ -104,10 +104,23 @@ class TestFilterSet:
         for q in make_queries(g, pop):
             assert filter_set(q, g).tolist() == []
 
-    def test_unresolved_query_rejected(self):
-        g = graph_of(("a", "r", "b"))
-        with pytest.raises(ValidationError):
-            filter_set(Query("x", "r", "y", Direction.TAIL), g)
+    @pytest.mark.parametrize("direction, head_id, relation_id, tail_id", [
+        pytest.param(Direction.TAIL, -1, -1, -1, id="unknown-labels"),
+        pytest.param(Direction.HEAD, 0, 0, -1, id="head-query-unknown-tail"),
+        pytest.param(Direction.TAIL, -1, 0, 1, id="tail-query-unknown-head"),
+        pytest.param(Direction.TAIL, 0, 2, 1, id="relation-past-vocabulary"),
+        pytest.param(Direction.HEAD, 3, 0, 1, id="head-past-vocabulary"),
+        pytest.param(Direction.TAIL, 0, 0, 3, id="tail-past-vocabulary"),
+    ])
+    def test_unresolved_query_rejected(self, direction, head_id, relation_id, tail_id):
+        """Every id of the query, the known side included, must lie inside its
+        vocabulary: an id past it would read another key block of the index."""
+        g = graph_of(("a", "r", "b"), ("b", "r", "a"), ("b", "r", "c"), ("a", "r2", "c"))
+        assert (g.n_entities, g.n_relations) == (3, 2)
+        query = Query("x", "r", "y", direction, head_id=head_id,
+                      relation_id=relation_id, tail_id=tail_id)
+        with pytest.raises(ValidationError, match="is not resolved against the graph"):
+            filter_set(query, g)
 
     @given(rows=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2),
                                    st.integers(0, 9)),
@@ -205,6 +218,25 @@ class TestRankOfGold:
                            match=rf"^gold id {gold} outside score row of length 3$"):
             rank_of_gold(row, set(), TiePolicy("average"))
 
+    @pytest.mark.parametrize("filter_id", [-1, -2, 4, 7])
+    def test_filter_id_outside_row_rejected(self, filter_id):
+        """An id below 0 would wrap to a candidate from the row's end, and one
+        past the row would index outside it: both are one ValidationError."""
+        row = ScoreRow(query_for(1), np.array([0.1, 0.5, 0.9, 0.2]))
+        for ids in ([filter_id], np.array([2, filter_id]), {filter_id, 0}):
+            with pytest.raises(ValidationError,
+                               match=r"^filter id outside score row of length 4$"):
+                rank_of_gold(row, ids, TiePolicy("average"))
+
+    def test_repeated_filter_id_left_out_once(self):
+        """An id given twice leaves its candidate out once: entity 2 scores
+        above the gold, and without it two of the rest do too."""
+        row = ScoreRow(query_for(1), np.array([0.9, 0.5, 0.8, 0.7]))
+        for ids in ([2, 2], np.array([2, 2]), (2, 2, 2)):
+            assert rank_of_gold(row, ids, TiePolicy("average")).rank == 3
+        row = ScoreRow(query_for(1), np.array([0.1, 0.5, 0.9, 0.2]))
+        assert rank_of_gold(row, [2, 2], TiePolicy("average")).rank == 1
+
     def test_gold_in_filter_rejected(self):
         row = ScoreRow(query_for(1), np.array([0.9, 0.5, 0.1]))
         with pytest.raises(ValidationError):
@@ -265,6 +297,19 @@ class TestRankOfGold:
         rnd = rank_of_gold(row, filter_ids, TiePolicy("random", seed=9)).rank
         assert opt <= rnd <= pes
 
+        # repeated ids, as a list, an array and a set: each candidate left out once
+        repeated = data.draw(st.lists(st.sampled_from(others), max_size=2 * n))
+        ties = {policy: TiePolicy(policy) for policy in ("optimistic", "pessimistic", "average")}
+        expected = {policy: brute_force_rank(scores, gold, set(repeated), policy)
+                    for policy in ties}
+        ties["random"] = TiePolicy("random", seed=9)
+        draw = ties["random"].adjustment(
+            expected["pessimistic"] - expected["optimistic"], row.query)
+        expected["random"] = brute_force_rank(scores, gold, set(repeated), "random", draw=draw)
+        for ids in (repeated, np.array(repeated, dtype=np.int64), set(repeated)):
+            assert {policy: rank_of_gold(row, ids, tie).rank
+                    for policy, tie in ties.items()} == expected
+
     @given(data=st.data())
     @settings(max_examples=60)
     def test_permuting_non_gold_candidates_is_irrelevant(self, data):
@@ -285,12 +330,6 @@ class TestRankOfGold:
             tie = TiePolicy(policy)
             assert rank_of_gold(row, set(), tie).rank == \
                 rank_of_gold(prow, set(), tie).rank
-
-
-class TestRankRecord:
-    def test_rank_lower_bound(self):
-        with pytest.raises(ValidationError):
-            RankRecord(query_for(0), 0)
 
 
 class TestRankFileIO:

@@ -106,13 +106,16 @@ class TestMixtureProfile:
         assert (table.pops == 0).all()
 
     def test_strata_order_validated(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^stratum max_rank values must ascend$"):
             MixtureProfile(
                 p1=0.5, tail_rate=0.2, n_entities=50,
                 popularity_model=(
                     PopularityStratum(constant=1, max_rank=5),
                     PopularityStratum(constant=2, max_rank=1),
                 ))
+        with pytest.raises(ValidationError, match="^stratum max_rank must be >= 1$"):
+            MixtureProfile(p1=0.5, tail_rate=0.2, n_entities=50,
+                           popularity_model=(PopularityStratum(constant=1, max_rank=0),))
 
 
 class TestDeterminism:

@@ -5,7 +5,8 @@ metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, every tab-separated input
 goes through ``errors.read_rows``, every value type is a dataclass, every
 public name has a caller outside the tests, np.unique is never asked for its
-values alone, nothing calls BLAS, and the command-line options are pinned."""
+values alone, nothing calls BLAS, and the command-line options are pinned and each
+named in the README."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import ast
 import enum
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import probe_eval
@@ -257,3 +259,12 @@ def test_cli_options_are_pinned():
     found = {"": options(parser)}
     found.update((name, options(sub)) for name, sub in subparsers.choices.items())
     assert found == CLI_OPTIONS
+
+
+def test_every_cli_option_is_in_the_readme():
+    """Each pinned option appears in README.md as a whole option, so that
+    --alphas does not stand in for --alpha."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = sorted({option for options in CLI_OPTIONS.values() for option in options
+                      if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)})
+    assert missing == []
