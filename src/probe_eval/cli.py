@@ -8,7 +8,8 @@ manifest recording the command, resolved configuration, input digests,
 tool version, and timestamp, so reruns on identical inputs produce
 byte-identical data files and manifests differing only in the timestamp.
 ``eval``, ``compare`` and ``sweep`` check their flags before ``_load_models``
-reads any file, and write nothing until every result is computed.
+reads any file, and write nothing until every result is computed.  An
+--out or --export-vocab naming an input file is refused before any is read.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # No command calls BLAS, but NumPy's OpenBLAS worker thread would spin on a second core.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .kg_data import SPLIT_FILES, dataset_stats, export_vocabulary, load_dataset
 from .metrics import (DEFAULT_HITS_KS, MetricConfig, check_edges, default_bucket_edges,
                       hits_at_k, mr, mrr, probe_score, stratified_breakdown)
@@ -45,6 +46,8 @@ _JSON = json.JSONEncoder(indent=2, sort_keys=True)  # the layout of every JSON o
 
 class _UsageError(ValidationError):
     """Bad command line; prints usage before the error line."""
+
+    category = "usage"
 
     def __init__(self, message: str, usage: str = ""):
         super().__init__(message)
@@ -86,29 +89,37 @@ def _write_json(payload, path: str | Path) -> None:
     Path(path).write_text(_dump_json(payload), encoding="utf-8", newline="\n")
 
 
-def _emit(args, argv: list[str], config: dict, inputs: Iterable[str | Path],
-          text: str | None = None, manifest: str | Path | None = None) -> int:
+def _input_files(args) -> list[str | Path]:
+    """The files a command reads, in the order its manifest digests them:
+    its --scores, --ranks or --profile, then the dataset's split files."""
+    files = [getattr(args, name) for name in ("scores", "profile") if hasattr(args, name)]
+    ranks = getattr(args, "ranks", [])
+    files += _parse_model_files(ranks).values() if isinstance(ranks, list) else [ranks]
+    if getattr(args, "dataset", None):
+        files += [Path(args.dataset) / name for name in SPLIT_FILES]
+    return files
+
+
+def _emit(args, argv: list[str], config: dict, text: str | None = None,
+          manifest: str | Path | None = None) -> int:
     """The one output path of every command; returns its exit code.
 
     ``text``, when given, is the command's data: it goes to --out, or to
     stdout when there is no --out, and stdout output gets no manifest.
     Output to files gets one manifest: ``config`` (plus --threads where the
-    command has that flag) and the digests of ``inputs`` and of the
-    dataset's split files, written to ``manifest``, by default
-    ``<--out>.manifest.json``.
+    command has that flag) and the digests of the command's input files,
+    written to ``manifest``, by default ``<--out>.manifest.json``.
     """
     out = getattr(args, "out", None)
     if text is not None:
         if out is None:
             sys.stdout.write(text)
             return 0
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8", newline="\n")
     if hasattr(args, "threads"):
         config = {**config, "threads": args.threads}
     record = RunManifest(args.command, argv, config)
-    if getattr(args, "dataset", None):
-        inputs = [*inputs, *(Path(args.dataset) / name for name in SPLIT_FILES)]
-    for path in inputs:
+    for path in _input_files(args):
         record.add_input(path)
     record.write(manifest or f"{out}.manifest.json")
     return 0
@@ -139,11 +150,6 @@ def _parse_model_files(pairs: Sequence[str]) -> dict[str, Path]:
 def _dataset_arg(parser: _Parser, required: bool) -> None:
     parser.add_argument("--dataset", metavar="DIR", required=required,
                         help=f"directory holding {', '.join(SPLIT_FILES)}")
-
-
-def _seed_arg(parser: _Parser, required: bool = False) -> None:
-    parser.add_argument("--seed", type=int, required=required, default=None,
-                        help="random seed: synth's sampler, or rank's random tie policy")
 
 
 def _metric_args(parser: _Parser) -> None:
@@ -225,12 +231,12 @@ def _score_models(args, model_files: Mapping[str, str | Path]
     check_same_queries(tables)
     if edges is None:  # without a dataset every gold popularity is 0
         edges = default_bucket_edges(0 if pop is None else int(pop.max(initial=0)))
-    return config.to_json_dict(), hits_ks, {name: {
+    return asdict(config), hits_ks, {name: {
         "probe": probe_score(table, config),
         "mr": mr(table),
         "mrr": mrr(table),
         "hits": {str(k): hits_at_k(table, k) for k in hits_ks},
-        "strata": [s.to_json_dict() for s in stratified_breakdown(table, edges, config)],
+        "strata": [asdict(s) for s in stratified_breakdown(table, edges, config)],
     } for name, table in tables.items()}
 
 
@@ -258,10 +264,9 @@ def _cmd_stats(args, argv: list[str]) -> int:
     if args.export_vocab:
         export_vocabulary(graph, args.export_vocab)
         # the vocabulary is an output file of its own, with its own sidecar
-        _emit(argparse.Namespace(**{**vars(args), "out": args.export_vocab}), argv, {}, ())
-    text = (_dump_json(stats.to_json_dict()) if args.format == "json"
-            else stats.to_text() + "\n")
-    return _emit(args, argv, {"format": args.format}, (), text=text)
+        _emit(argparse.Namespace(**{**vars(args), "out": args.export_vocab}), argv, {})
+    text = _dump_json(asdict(stats)) if args.format == "json" else stats.to_text() + "\n"
+    return _emit(args, argv, {"format": args.format}, text=text)
 
 
 def _cmd_rank(args, argv: list[str]) -> int:
@@ -270,15 +275,14 @@ def _cmd_rank(args, argv: list[str]) -> int:
     table = rank_score_file(args.scores, graph, pop, tie, raw=args.raw,
                             allow_partial=args.allow_partial)
     write_rank_file(table, args.out)
-    return _emit(args, argv, {"tie": tie.policy, "seed": tie.seed, "raw": args.raw},
-                 [args.scores])
+    return _emit(args, argv, {"tie": tie.policy, "seed": tie.seed, "raw": args.raw})
 
 
 def _cmd_eval(args, argv: list[str]) -> int:
     config, _, per_model = _score_models(args, {"model": args.ranks})
     payload = {**per_model["model"], "config": config}
     text = (_metrics_csv(payload) if args.format == "csv" else _dump_json(payload))
-    return _emit(args, argv, config, [args.ranks], text=text)
+    return _emit(args, argv, config, text=text)
 
 
 def _cmd_sweep(args, argv: list[str]) -> int:
@@ -310,7 +314,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
         "base": list(grid.base), "epsilon": args.epsilon,
         "affine": not args.no_affine, "entity_count": config.entity_count,
         "bins": bins,
-    }, model_files.values(), manifest=out_dir / "manifest.json")
+    }, manifest=out_dir / "manifest.json")
 
 
 def _cmd_compare(args, argv: list[str]) -> int:
@@ -320,7 +324,7 @@ def _cmd_compare(args, argv: list[str]) -> int:
     config, hits_ks, per_model = _score_models(args, model_files)
 
     if args.format == "json":
-        return _emit(args, argv, config, model_files.values(),
+        return _emit(args, argv, config,
                      text=_dump_json({"config": config, "models": per_model}))
 
     names = list(per_model)
@@ -345,13 +349,13 @@ def _cmd_compare(args, argv: list[str]) -> int:
     col = max(col, *(len(n) for n in names))
     lines = [f"{label:<{width}}  " + "  ".join(f"{c:>{col}}" for c in cells)
              for label, cells in [("metric", names), *rows]]
-    return _emit(args, argv, config, model_files.values(), text="\n".join(lines) + "\n")
+    return _emit(args, argv, config, text="\n".join(lines) + "\n")
 
 
 def _cmd_synth(args, argv: list[str]) -> int:
     profile = load_profile(args.profile)
     write_rank_file(generate(profile, args.n, args.seed), args.out)
-    return _emit(args, argv, {"n": args.n, "seed": args.seed}, [args.profile])
+    return _emit(args, argv, {"n": args.n, "seed": args.seed})
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ def build_parser() -> _Parser:
     _dataset_arg(p, required=True)
     p.add_argument("--tie", choices=TiePolicy.POLICIES, default="average",
                    help="how a gold entity tied with other candidates is ranked")
-    _seed_arg(p)
+    p.add_argument("--seed", type=int, help="seed of the random tie policy")
     p.add_argument("--raw", action="store_true",
                    help="rank against all candidates (disable the filtered protocol)")
     p.add_argument("--allow-partial", action="store_true",
@@ -414,7 +418,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic rank file from a profile")
     p.add_argument("--profile", required=True, metavar="FILE")
     p.add_argument("--n", required=True, type=int)
-    _seed_arg(p, required=True)
+    p.add_argument("--seed", type=int, required=True, help="seed of the sampler")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_synth)
 
@@ -442,19 +446,17 @@ def dispatch(argv: Sequence[str]) -> int:
             raise _UsageError("a subcommand is required", usage=parser.format_usage())
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+        for flag in ("out", "export_vocab"):  # no output may overwrite an input
+            out = getattr(args, flag, None)
+            for path in _input_files(args) if out and os.path.exists(out) else ():
+                if os.path.exists(path) and os.path.samefile(out, path):
+                    raise ValidationError(f"--{flag.replace('_', '-')} {out} is the input "
+                                          f"file {path}; refusing to overwrite it")
         return args.func(args, argv)
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    except _UsageError as exc:
-        if exc.usage:
-            sys.stderr.write(exc.usage)
-        sys.stderr.write(f"error[usage]: {exc}\n")
-        return 1
-    except ParseError as exc:
-        sys.stderr.write(f"error[parse]: {exc}\n")
-        return 1
-    except ValidationError as exc:
-        sys.stderr.write(f"error[validation]: {exc}\n")
+    except ValidationError as exc:  # a _UsageError also carries its usage text
+        sys.stderr.write(f"{getattr(exc, 'usage', '')}error[{exc.category}]: {exc}\n")
         return 1
     except MemoryError as exc:
         sys.stderr.write("error[validation]: input needs more memory than is "

@@ -21,6 +21,8 @@ class ValidationError(ValueError):
     Given a path (and a line), the message is prefixed ``path:line: ``.
     """
 
+    category = "validation"  # the CLI's error[category] line names it
+
     def __init__(self, message: str, path: str | Path | None = None,
                  line: int | None = None):
         if path is not None:
@@ -31,6 +33,8 @@ class ValidationError(ValueError):
 
 class ParseError(ValidationError):
     """Malformed file content."""
+
+    category = "parse"
 
 
 @contextlib.contextmanager

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 
@@ -125,9 +125,6 @@ class DatasetStats:
     n_triples: int
     delta_avg: float | None  # full precision, None without entities; display rounds
     delta_max: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     def to_text(self) -> str:
         rows = [

@@ -17,7 +17,7 @@ record permutation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -63,9 +63,6 @@ class MetricConfig:
 
     def with_cell(self, alpha: float, beta: float) -> "MetricConfig":
         return replace(self, alpha=alpha, beta=beta)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def rt_raw(rank: int, alpha: float) -> float:
@@ -259,9 +256,6 @@ class Stratum:
     hi: int | None
     count: int
     score: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def default_bucket_edges(delta_max: int) -> list[int]:

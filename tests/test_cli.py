@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import write_toy_dataset
 from probe_eval import cli
 from probe_eval.cli import dispatch
+from probe_eval.errors import ValidationError
 
 
 def run_cli(*argv) -> int:
@@ -592,6 +593,51 @@ class TestDispatch:
         assert len(err) == 2, err
         assert err[0] == f"WARNING {train}: dropped 1 duplicate triple line(s)"
         assert err[1].startswith(f"error[{category}]:"), err
+
+    def test_error_category_is_named_by_the_error_class(self, tmp_path, capsys, monkeypatch):
+        """dispatch prints each ValidationError subclass under its own category."""
+        class CustomError(ValidationError):
+            category = "custom"
+
+        def fail(args, argv):
+            raise CustomError("the command failed its own way")
+
+        monkeypatch.setattr(cli, "_cmd_synth", fail)
+        assert run_cli("synth", "--profile", str(tmp_path / "p.json"), "--n", "1",
+                       "--seed", "0", "--out", str(tmp_path / "o.tsv")) == 1
+        assert capsys.readouterr().err == "error[custom]: the command failed its own way\n"
+
+    @pytest.mark.parametrize("command, flag, target", [
+        ("eval", "--out", "ranks"), ("stats", "--out", "train"),
+        ("stats", "--export-vocab", "train"), ("rank", "--out", "scores"),
+        ("rank", "--out", "test"), ("synth", "--out", "profile")])
+    def test_an_output_never_overwrites_an_input(self, toy_dataset, rankfile, tmp_path,
+                                                 capsys, command, flag, target):
+        """Refused before any file is read: the input keeps its bytes, no manifest
+        records another file's digest under its name, and nothing is written."""
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(json.dumps(r) + "\n" for r in TOY_SCORE_ROWS),
+                          encoding="utf-8")
+        profile = tmp_path / "p.json"
+        write_profile(profile, {"kind": "explicit", "ranks": [1, 2]})
+        inputs = {"ranks": rankfile, "train": toy_dataset / "train.txt",
+                  "test": toy_dataset / "test.txt", "scores": scores, "profile": profile}
+        argv = {"eval": ["--ranks", str(rankfile), "--dataset", str(toy_dataset)],
+                "stats": ["--dataset", str(toy_dataset)],
+                "rank": ["--scores", str(scores), "--dataset", str(toy_dataset)],
+                "synth": ["--profile", str(profile), "--n", "2", "--seed", "0"]}[command]
+
+        def snapshot():
+            return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+        before = snapshot()
+        # another spelling of the same file: the check compares files, not strings
+        out = toy_dataset / ".." / inputs[target].relative_to(tmp_path)
+        assert run_cli(command, *argv, flag, str(out)) == 1
+        assert single_error_line(capsys, "validation") == (
+            f"error[validation]: {flag} {out} is the input file {inputs[target]}; "
+            "refusing to overwrite it")
+        assert snapshot() == before
 
     def test_threads_validated(self, toy_dataset, rankfile, capsys):
         assert run_cli("eval", "--ranks", str(rankfile),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -218,7 +219,7 @@ class TestDatasetStats:
         g, pop = dataset_of()
         stats = dataset_stats(g, pop)
         assert stats == DatasetStats(0, 0, 0, None, 0)
-        assert stats.to_json_dict()["delta_avg"] is None
+        assert asdict(stats)["delta_avg"] is None
         assert "undefined" in stats.to_text()
 
     def test_avg_times_entities_is_total_mass(self, toy_dataset):
@@ -228,7 +229,7 @@ class TestDatasetStats:
 
     def test_json_keys(self, toy_dataset):
         g, pop = load_dataset(toy_dataset)
-        d = dataset_stats(g, pop).to_json_dict()
+        d = asdict(dataset_stats(g, pop))
         assert set(d) == {"n_entities", "n_relations", "n_triples",
                           "delta_avg", "delta_max"}
 

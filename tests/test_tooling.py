@@ -5,8 +5,8 @@ metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, every tab-separated input
 goes through ``errors.read_rows``, every value type is a dataclass, every
 public name has a caller outside the tests, np.unique is never asked for its
-values alone, nothing calls BLAS, and the command-line options are pinned and each
-named in the README."""
+values alone, nothing calls BLAS, every text writer pins its line ending, and the
+command-line options are pinned and each named in the README."""
 
 from __future__ import annotations
 
@@ -151,6 +151,31 @@ def test_open_text_is_called_only_in_the_readers():
                           else getattr(func, "id", None))
                 if called == "open_text":
                     stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_every_text_writer_pins_its_line_ending():
+    """Each write_text, and each open in a text write mode, passes newline=, so
+    that output files end lines in LF on every platform."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == "open":
+                # Path.open takes the mode first, the builtin open second
+                position = 0 if isinstance(func, ast.Attribute) else 1
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                mode = (modes or node.args[position:position + 1] or [ast.Constant("r")])[0]
+                mode = mode.value if isinstance(mode, ast.Constant) else "w"  # unknown: a write
+                if set(mode).isdisjoint("wax+") or "b" in mode:
+                    continue
+            elif called != "write_text":
+                continue
+            if not any(kw.arg == "newline" for kw in node.keywords):
+                stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
 
