@@ -9,7 +9,8 @@ tool version, and timestamp, so reruns on identical inputs produce
 byte-identical data files and manifests differing only in the timestamp.
 ``eval``, ``compare`` and ``sweep`` check their flags before ``_load_models``
 reads any file, and write nothing until every result is computed.  An
---out or --export-vocab naming an input file is refused before any is read.
+output file that is an input file, or another output file, is refused
+before any file is read.
 """
 
 from __future__ import annotations
@@ -100,6 +101,23 @@ def _input_files(args) -> list[str | Path]:
     return files
 
 
+def _sidecar(path: str | Path) -> str:
+    return f"{path}.manifest.json"
+
+
+def _output_files(args) -> list[tuple[str, str | Path]]:
+    """(flag, file) for every file a command writes, in the order it writes them:
+    sweep's five files in its --out directory, or --export-vocab and --out,
+    each followed by its sidecar."""
+    if args.command == "sweep":
+        return [("--out", Path(args.out) / name) for name in
+                ("surface.csv", "rankings.json", "flips.json", "histogram.csv", "manifest.json")]
+    flags = {"--export-vocab": getattr(args, "export_vocab", None),
+             "--out": getattr(args, "out", None)}
+    return [(flag, file) for flag, path in flags.items() if path
+            for file in (path, _sidecar(path))]
+
+
 def _emit(args, argv: list[str], config: dict, text: str | None = None,
           manifest: str | Path | None = None) -> int:
     """The one output path of every command; returns its exit code.
@@ -108,7 +126,7 @@ def _emit(args, argv: list[str], config: dict, text: str | None = None,
     stdout when there is no --out, and stdout output gets no manifest.
     Output to files gets one manifest: ``config`` (plus --threads where the
     command has that flag) and the digests of the command's input files,
-    written to ``manifest``, by default ``<--out>.manifest.json``.
+    written to ``manifest``, by default the sidecar of --out.
     """
     out = getattr(args, "out", None)
     if text is not None:
@@ -121,7 +139,7 @@ def _emit(args, argv: list[str], config: dict, text: str | None = None,
     record = RunManifest(args.command, argv, config)
     for path in _input_files(args):
         record.add_input(path)
-    record.write(manifest or f"{out}.manifest.json")
+    record.write(manifest or _sidecar(out))
     return 0
 
 
@@ -298,23 +316,22 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     result = run_sweep(models, grid, config)
     histograms = {name: rank_histogram(table, bins) for name, table in models.items()}
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    surface_export(result, out_dir / "surface.csv")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    surface, rankings, flips, histogram, manifest = (path for _, path in _output_files(args))
+    surface_export(result, surface)
     _write_json({
         "base": {"alpha": grid.base[0], "beta": grid.base[1]},
         "cells": [result.rankings[cell].to_json_dict() for cell in grid.cells()],
-    }, out_dir / "rankings.json")
-    _write_json([flip.to_json_dict() for flip in result.flips],
-                out_dir / "flips.json")
-    histogram_export(histograms, out_dir / "histogram.csv")
+    }, rankings)
+    _write_json([flip.to_json_dict() for flip in result.flips], flips)
+    histogram_export(histograms, histogram)
 
     return _emit(args, argv, {
         "alphas": list(grid.alphas), "betas": list(grid.betas),
         "base": list(grid.base), "epsilon": args.epsilon,
         "affine": not args.no_affine, "entity_count": config.entity_count,
         "bins": bins,
-    }, manifest=out_dir / "manifest.json")
+    }, manifest=manifest)
 
 
 def _cmd_compare(args, argv: list[str]) -> int:
@@ -446,12 +463,17 @@ def dispatch(argv: Sequence[str]) -> int:
             raise _UsageError("a subcommand is required", usage=parser.format_usage())
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-        for flag in ("out", "export_vocab"):  # no output may overwrite an input
-            out = getattr(args, flag, None)
-            for path in _input_files(args) if out and os.path.exists(out) else ():
+        written: dict[str, str] = {}  # no output may overwrite an input or another output
+        for flag, out in _output_files(args):
+            for path in _input_files(args) if os.path.exists(out) else ():
                 if os.path.exists(path) and os.path.samefile(out, path):
-                    raise ValidationError(f"--{flag.replace('_', '-')} {out} is the input "
-                                          f"file {path}; refusing to overwrite it")
+                    raise ValidationError(f"{flag} {out} is the input file {path}; "
+                                          "refusing to overwrite it")
+            real = os.path.realpath(out)
+            if real in written:
+                raise ValidationError(f"{flag} {out} is also written by {written[real]}; "
+                                      "refusing to write it twice")
+            written[real] = flag
         return args.func(args, argv)
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)

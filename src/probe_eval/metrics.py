@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -277,16 +277,21 @@ def check_edges(edges: Sequence[int], first: int, what: str) -> list[int]:
     return edges
 
 
-def bucket_masks(values: np.ndarray, edges: Sequence[int], first: int,
-                 what: str) -> Iterator[tuple[int, int | None, np.ndarray]]:
-    """Yield (lo, hi, mask) for the half-open buckets [e0,e1), ..., [e_last, inf).
+def split_buckets(values: np.ndarray, edges: Sequence[int], first: int,
+                  what: str) -> list[tuple[Stratum, np.ndarray]]:
+    """(Stratum, record indices) of each half-open bucket [e0,e1), ..., [e_last, inf).
 
-    hi is None for the last bucket; the edges pass ``check_edges``.
+    The indices keep record order; the edges pass ``check_edges``.
+    A value below the first edge is an error.
     """
     edges = check_edges(edges, first, what)
+    if len(values) and int(values.min()) < first:
+        raise ValidationError(f"value {int(values.min())} lies below the {what} {edges}")
     bucket = np.searchsorted(edges, values, side="right") - 1
-    for i, lo in enumerate(edges):
-        yield lo, edges[i + 1] if i + 1 < len(edges) else None, bucket == i
+    counts = np.bincount(bucket, minlength=len(edges))
+    members = np.split(np.argsort(bucket, kind="stable"), np.cumsum(counts[:-1]))
+    return [(Stratum(lo=lo, hi=hi, count=int(count)), indices)
+            for lo, hi, count, indices in zip(edges, edges[1:] + [None], counts, members)]
 
 
 def stratified_breakdown(table: RankTable, bucket_edges: Sequence[int],
@@ -298,10 +303,7 @@ def stratified_breakdown(table: RankTable, bucket_edges: Sequence[int],
     raw per-group accuracy rather than re-weighted values.  Empty buckets
     report score None.
     """
-    out: list[Stratum] = []
-    for lo, hi, mask in bucket_masks(table.pops, bucket_edges, 0, "bucket edges"):
-        count = int(np.count_nonzero(mask))
-        score = (float(score_grid(table.ranks[mask], table.pops[mask], config,
-                                  (config.alpha,), (0.0,))[0, 0]) if count else None)
-        out.append(Stratum(lo=lo, hi=hi, count=count, score=score))
-    return out
+    return [replace(stratum, score=float(score_grid(table.ranks[indices], table.pops[indices],
+                                                    config, (config.alpha,), (0.0,))[0, 0]))
+            if stratum.count else stratum
+            for stratum, indices in split_buckets(table.pops, bucket_edges, 0, "bucket edges")]

@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
-from .metrics import MetricConfig, Stratum, bucket_masks, score_grid
+from .metrics import MetricConfig, Stratum, score_grid, split_buckets
 from .ranking import RankTable, check_same_queries
 
 TIE_TOLERANCE = 1e-12
@@ -175,8 +173,7 @@ def run_sweep(models: Mapping[str, RankTable], grid: SweepGrid,
 def rank_histogram(table: RankTable,
                    bins: Sequence[int] = DEFAULT_RANK_BINS) -> list[Stratum]:
     """Count records per rank bin; the final bin is [last edge, inf)."""
-    return [Stratum(lo=lo, hi=hi, count=int(np.count_nonzero(mask)))
-            for lo, hi, mask in bucket_masks(table.ranks, bins, 1, "rank bins")]
+    return [stratum for stratum, _ in split_buckets(table.ranks, bins, 1, "rank bins")]
 
 
 def surface_export(result: SweepResult, path: str | Path) -> None:

@@ -639,6 +639,53 @@ class TestDispatch:
             "refusing to overwrite it")
         assert snapshot() == before
 
+    @staticmethod
+    def refused(capsys, root, argv, inputs) -> str:
+        """Run argv, which must exit 1 with one validation line, keep every
+        input's sha256 and add no file under root; return the line."""
+        def digests():
+            return {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+
+        before, files = digests(), set(root.rglob("*"))
+        assert run_cli(*argv) == 1
+        line = single_error_line(capsys, "validation")
+        assert digests() == before
+        assert set(root.rglob("*")) == files
+        return line
+
+    def test_two_outputs_naming_one_file_are_refused(self, toy_dataset, tmp_path, capsys):
+        """The vocabulary would be written and then overwritten by the report."""
+        out = tmp_path / "report.txt"
+        splits = sorted(toy_dataset.iterdir())
+        line = self.refused(capsys, tmp_path, ["stats", "--dataset", str(toy_dataset),
+                                               "--out", str(out), "--export-vocab", str(out)],
+                            splits)
+        assert line == (f"error[validation]: --out {out} is also written by --export-vocab; "
+                        "refusing to write it twice")
+
+    def test_a_sweep_file_naming_an_input_is_refused(self, toy_dataset, rankfile, tmp_path,
+                                                     capsys):
+        """sweep writes fixed names under --out; one of them may be an input."""
+        out = tmp_path / "sweepout"
+        out.mkdir()
+        surface = out / "surface.csv"
+        surface.write_bytes(rankfile.read_bytes())
+        line = self.refused(capsys, tmp_path, ["sweep", "--ranks", f"a={surface}", f"b={rankfile}",
+                                               "--dataset", str(toy_dataset), "--out", str(out)],
+                            [surface, rankfile])
+        assert line == (f"error[validation]: --out {surface} is the input file {surface}; "
+                        "refusing to overwrite it")
+
+    def test_a_sidecar_naming_an_input_is_refused(self, toy_dataset, rankfile, tmp_path, capsys):
+        """--out E writes E and E.manifest.json; the latter may be the input."""
+        out = tmp_path / "E"
+        ranks = tmp_path / "E.manifest.json"
+        ranks.write_bytes(rankfile.read_bytes())
+        line = self.refused(capsys, tmp_path, ["eval", "--ranks", str(ranks), "--dataset",
+                                               str(toy_dataset), "--out", str(out)], [ranks])
+        assert line == (f"error[validation]: --out {ranks} is the input file {ranks}; "
+                        "refusing to overwrite it")
+
     def test_threads_validated(self, toy_dataset, rankfile, capsys):
         assert run_cli("eval", "--ranks", str(rankfile),
                        "--dataset", str(toy_dataset), "--threads", "0") == 1

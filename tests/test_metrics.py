@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from conftest import make_records
 from probe_eval import metrics
 from probe_eval.errors import ValidationError
-from probe_eval.metrics import (MetricConfig, bucket_masks, default_bucket_edges, exact_sum,
+from probe_eval.metrics import (MetricConfig, Stratum, default_bucket_edges, exact_sum,
                                 hits_at_k, mr, mrr, popularity_weights, probe_score,
-                                rt_affine, rt_raw, stratified_breakdown)
+                                rt_affine, rt_raw, split_buckets, stratified_breakdown)
+from probe_eval.ranking import RankTable
 from probe_eval.sweep import rank_histogram
 from probe_eval.synthetic import oracle_probe
 
@@ -558,6 +559,12 @@ class TestStratifiedBreakdown:
         assert [s.score for s in strata] == [
             probe_score(make_records([r for r, _ in b], [p for _, p in b]), cfg) if b else None
             for b in buckets]
+        # the independent single-loop oracle; beta is 0 inside every stratum
+        for stratum, bucket in zip(strata, buckets):
+            if bucket:
+                oracle = oracle_probe(make_records([r for r, _ in bucket],
+                                                   [p for _, p in bucket]), cfg)
+                assert stratum.score == pytest.approx(oracle, rel=1e-12)
 
 
 class TestBucketMasks:
@@ -584,11 +591,22 @@ class TestBucketMasks:
         assert str(raised.value) == message
 
     def test_last_bucket_is_unbounded(self):
-        buckets = list(bucket_masks(np.array([0, 3, 9, 12]), (0, 4, 10), 0, "edges"))
-        assert [(lo, hi, mask.tolist()) for lo, hi, mask in buckets] == [
-            (0, 4, [True, True, False, False]),
-            (4, 10, [False, False, True, False]),
-            (10, None, [False, False, False, True])]
+        buckets = split_buckets(np.array([12, 0, 9, 3, 10]), (0, 4, 10), 0, "edges")
+        assert [(stratum, indices.tolist()) for stratum, indices in buckets] == [
+            (Stratum(lo=0, hi=4, count=2), [1, 3]),
+            (Stratum(lo=4, hi=10, count=1), [2]),
+            (Stratum(lo=10, hi=None, count=2), [0, 4])]
+
+    def test_value_below_the_first_edge_is_an_error(self):
+        """No record may fall outside every bucket: counts must sum to the records."""
+        ranks = RankTable(["a", "b"], np.array([0, 3]), np.array([0, 0]))
+        with pytest.raises(ValidationError) as raised:
+            rank_histogram(ranks, (1, 2))
+        assert str(raised.value) == "value 0 lies below the rank bins [1, 2]"
+        pops = make_records([1, 2, 3], pops=[4, -2, 0])
+        with pytest.raises(ValidationError) as raised:
+            stratified_breakdown(pops, [0, 1], MetricConfig(affine=False))
+        assert str(raised.value) == "value -2 lies below the bucket edges [0, 1]"
 
 
 class TestDefaultBucketEdges:

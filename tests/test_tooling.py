@@ -5,8 +5,9 @@ metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, every tab-separated input
 goes through ``errors.read_rows``, every value type is a dataclass, every
 public name has a caller outside the tests, np.unique is never asked for its
-values alone, nothing calls BLAS, every text writer pins its line ending, and the
-command-line options are pinned and each named in the README."""
+values alone, nothing calls BLAS, every text writer pins its line ending, the
+command-line options are pinned and each named in the README, and every
+``module.name`` the README cites exists."""
 
 from __future__ import annotations
 
@@ -100,12 +101,13 @@ def test_rank_record_is_named_only_in_ranking():
 
 
 def test_manifests_are_built_only_in_emit():
-    """_emit alone builds a RunManifest and names a sidecar path, so every
-    output file's manifest records its inputs, --threads and the dataset alike."""
+    """_emit alone builds a RunManifest, and _sidecar alone names a sidecar path,
+    so every output file's manifest records its inputs, --threads and the
+    dataset alike, and dispatch checks the same sidecar names _emit writes."""
     stray = []
     for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = _nodes_inside(tree, "_emit")
+        allowed = _nodes_inside(tree, "_emit") | _nodes_inside(tree, "_sidecar")
         for node in ast.walk(tree):
             if id(node) in allowed:
                 continue
@@ -292,4 +294,18 @@ def test_every_cli_option_is_in_the_readme():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = sorted({option for options in CLI_OPTIONS.values() for option in options
                       if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)})
+    assert missing == []
+
+
+def test_readme_code_references_resolve():
+    """Each backticked ``module.name`` in README.md whose module is a probe_eval
+    submodule names an attribute of that module, so a renamed or deleted
+    function cannot stay cited."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    submodules = {path.stem for path in (ROOT / "src" / "probe_eval").glob("*.py")}
+    cited = [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+             if module in submodules]
+    assert cited
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"probe_eval.{module}"), name)]
     assert missing == []
