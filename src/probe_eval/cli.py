@@ -105,6 +105,16 @@ def _sidecar(path: str | Path) -> str:
     return f"{path}.manifest.json"
 
 
+def _file_identity(path: str | Path) -> tuple[int, int] | str:
+    """What makes two names one file: its device and inode when it exists, so
+    that hard links and every spelling of its path agree, else its resolved path."""
+    try:
+        stat = os.stat(path)
+    except OSError:  # not yet written
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
 def _output_files(args) -> list[tuple[str, str | Path]]:
     """(flag, file) for every file a command writes, in the order it writes them:
     sweep's five files in its --out directory, or --export-vocab and --out,
@@ -282,7 +292,7 @@ def _cmd_stats(args, argv: list[str]) -> int:
     if args.export_vocab:
         export_vocabulary(graph, args.export_vocab)
         # the vocabulary is an output file of its own, with its own sidecar
-        _emit(argparse.Namespace(**{**vars(args), "out": args.export_vocab}), argv, {})
+        _emit(args, argv, {}, manifest=_sidecar(args.export_vocab))
     text = _dump_json(asdict(stats)) if args.format == "json" else stats.to_text() + "\n"
     return _emit(args, argv, {"format": args.format}, text=text)
 
@@ -463,17 +473,18 @@ def dispatch(argv: Sequence[str]) -> int:
             raise _UsageError("a subcommand is required", usage=parser.format_usage())
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-        written: dict[str, str] = {}  # no output may overwrite an input or another output
+        # no output may overwrite an input or another output
+        written: dict[tuple[int, int] | str, str] = {}
         for flag, out in _output_files(args):
+            identity = _file_identity(out)
             for path in _input_files(args) if os.path.exists(out) else ():
-                if os.path.exists(path) and os.path.samefile(out, path):
+                if os.path.exists(path) and _file_identity(path) == identity:
                     raise ValidationError(f"{flag} {out} is the input file {path}; "
                                           "refusing to overwrite it")
-            real = os.path.realpath(out)
-            if real in written:
-                raise ValidationError(f"{flag} {out} is also written by {written[real]}; "
+            if identity in written:
+                raise ValidationError(f"{flag} {out} is also written by {written[identity]}; "
                                       "refusing to write it twice")
-            written[real] = flag
+            written[identity] = flag
         return args.func(args, argv)
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)

@@ -278,20 +278,19 @@ def check_edges(edges: Sequence[int], first: int, what: str) -> list[int]:
 
 
 def split_buckets(values: np.ndarray, edges: Sequence[int], first: int,
-                  what: str) -> list[tuple[Stratum, np.ndarray]]:
-    """(Stratum, record indices) of each half-open bucket [e0,e1), ..., [e_last, inf).
+                  what: str) -> tuple[list[Stratum], np.ndarray]:
+    """The counted Stratum of each half-open bucket [e0,e1), ..., [e_last, inf).
 
-    The indices keep record order; the edges pass ``check_edges``.
-    A value below the first edge is an error.
+    The second result is each record's bucket, the index of its Stratum; the
+    edges pass ``check_edges``.  A value below the first edge is an error.
     """
     edges = check_edges(edges, first, what)
     if len(values) and int(values.min()) < first:
         raise ValidationError(f"value {int(values.min())} lies below the {what} {edges}")
     bucket = np.searchsorted(edges, values, side="right") - 1
     counts = np.bincount(bucket, minlength=len(edges))
-    members = np.split(np.argsort(bucket, kind="stable"), np.cumsum(counts[:-1]))
-    return [(Stratum(lo=lo, hi=hi, count=int(count)), indices)
-            for lo, hi, count, indices in zip(edges, edges[1:] + [None], counts, members)]
+    return [Stratum(lo=lo, hi=hi, count=int(count))
+            for lo, hi, count in zip(edges, edges[1:] + [None], counts)], bucket
 
 
 def stratified_breakdown(table: RankTable, bucket_edges: Sequence[int],
@@ -303,7 +302,8 @@ def stratified_breakdown(table: RankTable, bucket_edges: Sequence[int],
     raw per-group accuracy rather than re-weighted values.  Empty buckets
     report score None.
     """
+    strata, bucket = split_buckets(table.pops, bucket_edges, 0, "bucket edges")
     return [replace(stratum, score=float(score_grid(table.ranks[indices], table.pops[indices],
                                                     config, (config.alpha,), (0.0,))[0, 0]))
             if stratum.count else stratum
-            for stratum, indices in split_buckets(table.pops, bucket_edges, 0, "bucket edges")]
+            for k, stratum in enumerate(strata) for indices in [np.flatnonzero(bucket == k)]]

@@ -173,7 +173,7 @@ def run_sweep(models: Mapping[str, RankTable], grid: SweepGrid,
 def rank_histogram(table: RankTable,
                    bins: Sequence[int] = DEFAULT_RANK_BINS) -> list[Stratum]:
     """Count records per rank bin; the final bin is [last edge, inf)."""
-    return [stratum for stratum, _ in split_buckets(table.ranks, bins, 1, "rank bins")]
+    return split_buckets(table.ranks, bins, 1, "rank bins")[0]
 
 
 def surface_export(result: SweepResult, path: str | Path) -> None:

@@ -663,6 +663,34 @@ class TestDispatch:
         assert line == (f"error[validation]: --out {out} is also written by --export-vocab; "
                         "refusing to write it twice")
 
+    def test_two_outputs_hard_linked_to_one_file_are_refused(self, toy_dataset, tmp_path,
+                                                             capsys):
+        """Two names of one inode are one file, though their resolved paths differ."""
+        report = tmp_path / "report.json"
+        report.write_text("kept\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.tsv"
+        vocab.hardlink_to(report)
+        splits = sorted(toy_dataset.iterdir())
+        line = self.refused(capsys, tmp_path, ["stats", "--dataset", str(toy_dataset),
+                                               "--export-vocab", str(vocab), "--out", str(report)],
+                            [*splits, report])
+        assert line == (f"error[validation]: --out {report} is also written by --export-vocab; "
+                        "refusing to write it twice")
+
+    def test_two_sweep_files_hard_linked_to_one_file_are_refused(self, toy_dataset, rankfile,
+                                                                 tmp_path, capsys):
+        """flips.json would overwrite surface.csv through their shared inode."""
+        out = tmp_path / "sweepout"
+        out.mkdir()
+        surface, flips = out / "surface.csv", out / "flips.json"
+        surface.write_text("kept\n", encoding="utf-8")
+        flips.hardlink_to(surface)
+        line = self.refused(capsys, tmp_path, ["sweep", "--ranks", f"m={rankfile}",
+                                               "--dataset", str(toy_dataset), "--out", str(out)],
+                            [surface, rankfile])
+        assert line == (f"error[validation]: --out {flips} is also written by --out; "
+                        "refusing to write it twice")
+
     def test_a_sweep_file_naming_an_input_is_refused(self, toy_dataset, rankfile, tmp_path,
                                                      capsys):
         """sweep writes fixed names under --out; one of them may be an input."""

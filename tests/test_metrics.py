@@ -591,11 +591,10 @@ class TestBucketMasks:
         assert str(raised.value) == message
 
     def test_last_bucket_is_unbounded(self):
-        buckets = split_buckets(np.array([12, 0, 9, 3, 10]), (0, 4, 10), 0, "edges")
-        assert [(stratum, indices.tolist()) for stratum, indices in buckets] == [
-            (Stratum(lo=0, hi=4, count=2), [1, 3]),
-            (Stratum(lo=4, hi=10, count=1), [2]),
-            (Stratum(lo=10, hi=None, count=2), [0, 4])]
+        strata, bucket = split_buckets(np.array([12, 0, 9, 3, 10]), (0, 4, 10), 0, "edges")
+        assert strata == [Stratum(lo=0, hi=4, count=2), Stratum(lo=4, hi=10, count=1),
+                          Stratum(lo=10, hi=None, count=2)]
+        assert bucket.tolist() == [2, 0, 1, 0, 2]
 
     def test_value_below_the_first_edge_is_an_error(self):
         """No record may fall outside every bucket: counts must sum to the records."""

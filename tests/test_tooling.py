@@ -2,12 +2,13 @@
 the package, float reductions go through ``metrics.exact_sum``, PROBE
 scores come only from ``metrics.score_grid``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
-every rank file is read by ``cli._load_models``, every tab-separated input
-goes through ``errors.read_rows``, every value type is a dataclass, every
-public name has a caller outside the tests, np.unique is never asked for its
-values alone, nothing calls BLAS, every text writer pins its line ending, the
-command-line options are pinned and each named in the README, and every
-``module.name`` the README cites exists."""
+every rank file is read by ``cli._load_models``, files are identified only by
+``cli._file_identity``, every tab-separated input goes through
+``errors.read_rows``, every value type is a dataclass, every public name has
+a caller outside the tests, np.unique is never asked for its values alone,
+nothing calls BLAS, every text writer pins its line ending, the command-line
+options are pinned and each named in the README, and every ``module.name``
+the README cites exists."""
 
 from __future__ import annotations
 
@@ -117,6 +118,31 @@ def test_manifests_are_built_only_in_emit():
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and ".manifest.json" in node.value):
                 stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_file_identity_is_decided_only_in_file_identity():
+    """os.path.samefile, os.path.realpath and os.stat are called only inside
+    cli._file_identity, so every rule on output files (no output overwrites an
+    input or another output) compares files by one notion of "the same file",
+    hard links and every spelling of a path included."""
+    identity_calls = {("os", "path", "samefile"), ("os", "path", "realpath"), ("os", "stat")}
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = _nodes_inside(tree, "_file_identity")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                parts, func = [], node.func
+                while isinstance(func, ast.Attribute):
+                    parts.insert(0, func.attr)
+                    func = func.value
+                if isinstance(func, ast.Name) and (func.id, *parts) in identity_calls:
+                    stray.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom):
+                module = tuple((node.module or "").split("."))
+                if any((*module, a.name) in identity_calls for a in node.names):
+                    stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
 
