@@ -10,7 +10,8 @@ byte-identical data files and manifests differing only in the timestamp.
 ``eval``, ``compare`` and ``sweep`` check their flags before ``_load_models``
 reads any file, and write nothing until every result is computed.  An
 output file that is an input file, or another output file, is refused
-before any file is read.
+before any file is read.  Each JSON object written from a value type is
+``vars(value)``, the instance's own field dict, so nothing may mutate it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -77,7 +78,7 @@ class RunManifest:
         self.inputs[str(path)] = f"sha256:{digest.hexdigest()}"
 
     def write(self, path: str | Path) -> None:
-        payload = {"tool": PROG, "version": __version__, **asdict(self),
+        payload = {"tool": PROG, "version": __version__, **vars(self),
                    "created_utc": datetime.now(timezone.utc).isoformat()}
         _write_json(payload, path)
 
@@ -259,12 +260,12 @@ def _score_models(args, model_files: Mapping[str, str | Path]
     check_same_queries(tables)
     if edges is None:  # without a dataset every gold popularity is 0
         edges = default_bucket_edges(0 if pop is None else int(pop.max(initial=0)))
-    return asdict(config), hits_ks, {name: {
+    return vars(config), hits_ks, {name: {
         "probe": probe_score(table, config),
         "mr": mr(table),
         "mrr": mrr(table),
         "hits": {str(k): hits_at_k(table, k) for k in hits_ks},
-        "strata": [asdict(s) for s in stratified_breakdown(table, edges, config)],
+        "strata": [vars(s) for s in stratified_breakdown(table, edges, config)],
     } for name, table in tables.items()}
 
 
@@ -293,7 +294,7 @@ def _cmd_stats(args, argv: list[str]) -> int:
         export_vocabulary(graph, args.export_vocab)
         # the vocabulary is an output file of its own, with its own sidecar
         _emit(args, argv, {}, manifest=_sidecar(args.export_vocab))
-    text = _dump_json(asdict(stats)) if args.format == "json" else stats.to_text() + "\n"
+    text = _dump_json(vars(stats)) if args.format == "json" else stats.to_text() + "\n"
     return _emit(args, argv, {"format": args.format}, text=text)
 
 
@@ -331,16 +332,14 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     surface_export(result, surface)
     _write_json({
         "base": {"alpha": grid.base[0], "beta": grid.base[1]},
-        "cells": [result.rankings[cell].to_json_dict() for cell in grid.cells()],
+        "cells": [vars(result.rankings[cell]) for cell in grid.cells()],
     }, rankings)
-    _write_json([flip.to_json_dict() for flip in result.flips], flips)
+    _write_json([vars(flip) for flip in result.flips], flips)
     histogram_export(histograms, histogram)
 
     return _emit(args, argv, {
-        "alphas": list(grid.alphas), "betas": list(grid.betas),
-        "base": list(grid.base), "epsilon": args.epsilon,
-        "affine": not args.no_affine, "entity_count": config.entity_count,
-        "bins": bins,
+        **vars(grid), "epsilon": config.epsilon, "affine": config.affine,
+        "entity_count": config.entity_count, "bins": bins,
     }, manifest=manifest)
 
 
@@ -473,6 +472,8 @@ def dispatch(argv: Sequence[str]) -> int:
             raise _UsageError("a subcommand is required", usage=parser.format_usage())
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+        if any("\0" in arg for arg in argv):  # no file name can hold one
+            raise _UsageError("an argument holds a NUL byte")
         # no output may overwrite an input or another output
         written: dict[tuple[int, int] | str, str] = {}
         for flag, out in _output_files(args):

@@ -127,15 +127,12 @@ class DatasetStats:
     delta_max: int
 
     def to_text(self) -> str:
-        rows = [
-            ("n_entities", f"{self.n_entities:,}"),
-            ("n_relations", f"{self.n_relations:,}"),
-            ("n_triples", f"{self.n_triples:,}"),
-            ("delta_avg", "undefined" if self.delta_avg is None else f"{self.delta_avg:.1f}"),
-            ("delta_max", f"{self.delta_max:,}"),
-        ]
-        width = max(len(v) for _, v in rows)
-        return "\n".join(f"{name:<12} {value:>{width}}" for name, value in rows)
+        """One row per field: counts with thousands separators, the mean to one decimal."""
+        rows = {name: "undefined" if value is None
+                else f"{value:.1f}" if isinstance(value, float) else f"{value:,}"
+                for name, value in vars(self).items()}
+        width = max(len(v) for v in rows.values())
+        return "\n".join(f"{name:<12} {value:>{width}}" for name, value in rows.items())
 
 
 def dataset_stats(graph: KnowledgeGraph, pop: np.ndarray) -> DatasetStats:

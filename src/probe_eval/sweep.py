@@ -66,38 +66,29 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class CellRanking:
-    """Model order at one cell; tie groups flag indistinguishable scores."""
+    """Model order at one cell; ties lists the groups of indistinguishable scores.
+    The fields are the keys of a rankings.json cell."""
 
-    cell: Cell
+    alpha: float
+    beta: float
     order: tuple[str, ...]
-    tie_groups: tuple[tuple[str, ...], ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.cell[0],
-            "beta": self.cell[1],
-            "order": list(self.order),
-            "ties": [list(group) for group in self.tie_groups],
-        }
+    ties: tuple[tuple[str, ...], ...] = ()
 
 
 @dataclass(frozen=True)
 class Flip:
-    """A model pair whose strict order at `cell` reverses the base order."""
+    """A model pair whose strict order at (alpha, beta) reverses the base order.
+    The fields are the keys of a flips.json entry."""
 
-    cell: Cell
+    alpha: float
+    beta: float
     pair: tuple[str, str]
     base_order: tuple[str, str]  # (winner, loser) at the base cell
     cell_order: tuple[str, str]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.cell[0],
-            "beta": self.cell[1],
-            "pair": list(self.pair),
-            "base_order": list(self.base_order),
-            "cell_order": list(self.cell_order),
-        }
+    @property
+    def cell(self) -> Cell:
+        return self.alpha, self.beta
 
 
 @dataclass
@@ -124,8 +115,8 @@ def _rank_cell(cell: Cell, scores: Mapping[str, float]) -> CellRanking:
             groups[-1].append(name)
         else:
             groups.append([name])
-    return CellRanking(cell=cell, order=tuple(order),
-                       tie_groups=tuple(tuple(g) for g in groups if len(g) > 1))
+    return CellRanking(*cell, order=tuple(order),
+                       ties=tuple(tuple(g) for g in groups if len(g) > 1))
 
 
 def find_flips(result: SweepResult) -> list[Flip]:
@@ -142,7 +133,7 @@ def find_flips(result: SweepResult) -> list[Flip]:
         scores = result.cells[cell]
         for pair, (winner, loser) in ordered:
             if _strict_order(scores[loser], scores[winner]) > 0:
-                flips.append(Flip(cell=cell, pair=pair, base_order=(winner, loser),
+                flips.append(Flip(*cell, pair=pair, base_order=(winner, loser),
                                   cell_order=(loser, winner)))
     return flips
 

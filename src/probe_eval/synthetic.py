@@ -78,6 +78,7 @@ class ExplicitProfile:
     popularities: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ranks", tuple(self.ranks))  # a profile file gives lists
         if not self.ranks:
             raise ValidationError("explicit profile needs at least one rank")
         for rank in self.ranks:
@@ -85,6 +86,7 @@ class ExplicitProfile:
         if any(r < 1 for r in self.ranks):
             raise ValidationError("explicit profile ranks must be >= 1")
         if self.popularities is not None:
+            object.__setattr__(self, "popularities", tuple(self.popularities))
             if len(self.popularities) != len(self.ranks):
                 raise ValidationError(
                     f"popularities length {len(self.popularities)} != "
@@ -145,28 +147,23 @@ RankProfile = Union[ExplicitProfile, MixtureProfile]
 
 
 def profile_from_dict(data: dict) -> RankProfile:
+    """The profile a JSON object describes: its fields other than "kind" go to the
+    constructor of its kind, and each popularity_model entry to PopularityStratum."""
     if not isinstance(data, dict):
         raise ValidationError(f"profile must be a JSON object, got {type(data).__name__}")
-    kind = data.get("kind")
+    fields = dict(data)
+    kind = fields.pop("kind", None)
     try:
         if kind == "explicit":
-            pops = data.get("popularities")
-            return ExplicitProfile(ranks=tuple(data["ranks"]),
-                                   popularities=tuple(pops) if pops is not None else None)
+            return ExplicitProfile(**fields)
         if kind == "mixture":
-            model = data.get("popularity_model", [])
+            model = fields.get("popularity_model", [])
             if not (isinstance(model, list) and all(isinstance(entry, dict) for entry in model)):
                 raise ValidationError("popularity_model must be a list of objects")
-            strata = tuple(
-                PopularityStratum(constant=entry.get("constant"), low=entry.get("low"),
-                                  high=entry.get("high"), max_rank=entry.get("max_rank"))
-                for entry in model)
-            return MixtureProfile(p1=data["p1"], tail_rate=data["tail_rate"],
-                                  n_entities=data["n_entities"], popularity_model=strata)
-    except KeyError as exc:
-        raise ValidationError(f"{kind} profile is missing field {exc}") from None
-    except (AttributeError, TypeError) as exc:
-        raise ValidationError(f"{kind} profile has a field of the wrong type: {exc}") from None
+            fields["popularity_model"] = tuple(PopularityStratum(**entry) for entry in model)
+            return MixtureProfile(**fields)
+    except TypeError as exc:  # a missing, unknown or mistyped field
+        raise ValidationError(f"invalid {kind} profile: {exc}") from None
     raise ValidationError(f"profile kind must be 'explicit' or 'mixture', got {kind!r}")
 
 

@@ -62,6 +62,9 @@ class TestStats:
         assert payload["n_entities"] == 4
         assert payload["n_relations"] == 2
         assert payload["n_triples"] == 4
+        # the keys are DatasetStats' fields
+        assert set(payload) == {"n_entities", "n_relations", "n_triples",
+                                "delta_avg", "delta_max"}
 
     def test_text_format(self, toy_dataset, capsys):
         assert run_cli("stats", "--dataset", str(toy_dataset),
@@ -194,6 +197,9 @@ class TestEval:
                        "--dataset", str(toy_dataset)) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"probe", "mr", "mrr", "hits", "strata", "config"}
+        assert payload["strata"]
+        assert all(set(stratum) == {"count", "hi", "lo", "score"}  # Stratum's fields
+                   for stratum in payload["strata"])
         assert payload["mr"] == 2.5
         assert payload["config"]["alpha"] == 1.0
         assert payload["config"]["entity_count"] == 4
@@ -317,7 +323,12 @@ class TestSweepCommand:
         flips = json.loads((out / "flips.json").read_text())
         assert any(set(f["pair"]) == {"sharp", "steady"} and f["alpha"] == 0.25
                    for f in flips)
+        # the keys are the fields of Flip and CellRanking
+        assert all(set(f) == {"alpha", "beta", "base_order", "cell_order", "pair"}
+                   for f in flips)
         rankings = json.loads((out / "rankings.json").read_text())
+        assert all(set(cell) == {"alpha", "beta", "order", "ties"}
+                   for cell in rankings["cells"])
         base_cell = next(c for c in rankings["cells"]
                          if c["alpha"] == 1.0 and c["beta"] == 0.0)
         assert base_cell["order"] == ["sharp", "steady"]
@@ -563,6 +574,21 @@ class TestDispatch:
         assert run_cli("stats", "--dataset", str(toy_dataset), flag, "train.txt") == 1
         err = capsys.readouterr().err
         assert f"error[usage]: unrecognized arguments: {flag} train.txt" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--dataset", "a\0b"],
+        ["eval", "--ranks", "x\0", "--entities", "10"],
+        ["eval", "--ranks", "x", "--dataset", "d", "--out", "a\0b"],
+        ["synth", "--profile", "p\0", "--n", "1", "--seed", "1", "--out", "o"],
+    ], ids=["stats-dataset", "eval-ranks", "eval-out", "synth-profile"])
+    def test_nul_byte_in_an_argument_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        """No file name holds a NUL byte; the os calls on one raise ValueError."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        assert single_error_line(capsys, "usage") == \
+            "error[usage]: an argument holds a NUL byte"
+        assert list(tmp_path.iterdir()) == []
 
     def test_warnings_go_to_each_calls_stderr(self, toy_dataset):
         """A host that redirects stderr between calls gets each call's warnings."""
@@ -936,6 +962,22 @@ class TestHostileInputs:
         assert run_cli("synth", "--profile", path, "--n", "3", "--seed", "0",
                        "--out", str(tmp_path / "o.tsv")) == 1
         single_error_line(capsys, "validation")
+
+    @pytest.mark.parametrize("profile, key", [
+        ({"kind": "mixture", "p1": 0.5, "tail_rate": 0.1, "n_entities": 10,
+          "popularity_model": [{"constant": 3, "max_rnak": 1}]}, "max_rnak"),
+        ({"kind": "explicit", "ranks": [1, 2], "popularites": [5, 6]}, "popularites"),
+    ], ids=["rule-max-rank", "explicit-popularities"])
+    def test_misspelled_profile_key_is_named(self, tmp_path, capsys, profile, key):
+        """A key that is not a field of its kind, or of a popularity_model entry,
+        is refused: dropped, it would leave a rule covering every rank, or every
+        popularity 0."""
+        path = write_profile(tmp_path / "p.json", profile)
+        out = tmp_path / "o.tsv"
+        assert run_cli("synth", "--profile", path, "--n", "2", "--seed", "0",
+                       "--out", str(out)) == 1
+        assert repr(key) in single_error_line(capsys, "validation")
+        assert not out.exists()
 
     @pytest.mark.parametrize("model", [[[1]], 5], ids=["list-of-lists", "number"])
     def test_popularity_model_not_a_list_of_objects(self, tmp_path, capsys, model):
@@ -1316,10 +1358,11 @@ def _hostile(data):
 
 
 def _fuzzed_profile(data):
-    """An explicit or mixture profile, or a non-object, with hostile edits."""
+    """An explicit or mixture profile, or a non-object, with hostile edits, and
+    whether an unknown key was added at its top level or to a popularity rule."""
     kind = data.draw(st.sampled_from(["explicit", "mixture", "non-object"]))
     if kind == "non-object":
-        return data.draw(st.sampled_from([[], [{"kind": "explicit"}], "explicit", 3, None]))
+        return data.draw(st.sampled_from([[], [{"kind": "explicit"}], "explicit", 3, None])), False
     if kind == "explicit":
         ranks = data.draw(st.lists(st.integers(-1, 10 ** 6), min_size=0, max_size=8))
         profile = {"kind": "explicit", "ranks": ranks}
@@ -1343,7 +1386,14 @@ def _fuzzed_profile(data):
             del profile[field]
         else:
             profile[field] = _hostile(data)
-    return profile
+    unknown = data.draw(st.sampled_from([None, "popularites", "max_rnak", "note"]))
+    rules = profile.get("popularity_model")
+    if unknown and isinstance(rules, list) and rules and isinstance(rules[-1], dict) \
+            and data.draw(st.booleans()):
+        rules[-1][unknown] = 1
+    elif unknown:
+        profile[unknown] = [1]
+    return profile, unknown is not None
 
 
 def _synth_contract(fuzz_dir, profile, n) -> tuple[int, str]:
@@ -1365,11 +1415,13 @@ def _synth_contract(fuzz_dir, profile, n) -> tuple[int, str]:
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_profile_keeps_the_synth_contract(fuzz_dir, data):
     """Sizes stay small (n_entities <= 10**5, --n <= 10**4): nothing large is allocated."""
-    profile = _fuzzed_profile(data)
+    profile, unknown = _fuzzed_profile(data)
     ranks = profile.get("ranks") if isinstance(profile, dict) else None
     n = data.draw(st.one_of(st.integers(-2, 10 ** 4), st.just(
         len(ranks) if isinstance(ranks, list) else 1)))
-    _synth_contract(fuzz_dir, profile, n)
+    code, err = _synth_contract(fuzz_dir, profile, n)
+    if unknown:  # a key that is no field of its kind is one error line
+        assert code == 1 and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("n_entities,n,message", [

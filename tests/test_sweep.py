@@ -76,7 +76,7 @@ class TestRunSweep:
             assert scores["a"] == scores["b"]
             ranking = result.rankings[cell]
             assert ranking.order == ("a", "b")  # lexicographic on ties
-            assert ranking.tie_groups == (("a", "b"),)
+            assert ranking.ties == (("a", "b"),)
 
     def test_base_cell_reproduces_probe_score(self):
         models = sharp_and_steady(200)
@@ -254,7 +254,7 @@ class TestTieGroups:
         return result
 
     def _check(self, result: SweepResult) -> None:
-        groups = {cell: [set(group) for group in ranking.tie_groups]
+        groups = {cell: [set(group) for group in ranking.ties]
                   for cell, ranking in result.rankings.items()}
         for cell, cell_groups in groups.items():
             scores = result.cells[cell]
@@ -272,7 +272,7 @@ class TestTieGroups:
         other = {"a": 0.6, "b": 0.5, "c": 0.4}
         result = self._ranked(base, other)
         assert result.rankings[self.BASE].order == ("c", "b", "a")
-        assert result.rankings[self.BASE].tie_groups == (("c", "b"),)
+        assert result.rankings[self.BASE].ties == (("c", "b"),)
         assert [(f.cell, f.pair) for f in result.flips] == [(self.OTHER, ("a", "c"))]
         self._check(result)
 

@@ -4,7 +4,8 @@ scores come only from ``metrics.score_grid``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, files are identified only by
 ``cli._file_identity``, every tab-separated input goes through
-``errors.read_rows``, every value type is a dataclass, every public name has
+``errors.read_rows``, every value type is a dataclass whose fields are its
+file form (no ``asdict``, no ``to_json_dict``), every public name has
 a caller outside the tests, np.unique is never asked for its values alone,
 nothing calls BLAS, every text writer pins its line ending, the command-line
 options are pinned and each named in the README, and every ``module.name``
@@ -223,6 +224,23 @@ def test_value_types_are_dataclasses():
             cls = getattr(importlib.import_module(f"probe_eval.{path.stem}"), node.name, None)
             if not (isinstance(cls, type) and issubclass(cls, plain)):
                 stray.append(f"{path.name}:{node.name}")
+    assert stray == []
+
+
+def test_value_types_are_written_through_vars():
+    """A value type's fields are the keys of the JSON object a command writes
+    from it, as ``vars(value)``: nothing under src/ names dataclasses.asdict,
+    which deep-copies each object, and no function there is named to_json_dict,
+    which would list the keys a second time."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.name] if isinstance(node, ast.FunctionDef) else [])
+            if {"asdict", "to_json_dict"}.intersection(names):
+                stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
 
