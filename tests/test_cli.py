@@ -1386,7 +1386,9 @@ def _fuzzed_profile(data):
             del profile[field]
         else:
             profile[field] = _hostile(data)
-    unknown = data.draw(st.sampled_from([None, "popularites", "max_rnak", "note"]))
+    unknown = None  # 1 in 4, so most examples still reach the value checks
+    if data.draw(st.booleans()) and data.draw(st.booleans()):
+        unknown = data.draw(st.sampled_from(["popularites", "max_rnak", "note"]))
     rules = profile.get("popularity_model")
     if unknown and isinstance(rules, list) and rules and isinstance(rules[-1], dict) \
             and data.draw(st.booleans()):
@@ -1412,9 +1414,10 @@ def _synth_contract(fuzz_dir, profile, n) -> tuple[int, str]:
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_fuzzed_profile_keeps_the_synth_contract(fuzz_dir, data):
-    """Sizes stay small (n_entities <= 10**5, --n <= 10**4): nothing large is allocated."""
+    """Sizes stay small (n_entities <= 10**5, --n <= 10**4): nothing large is allocated.
+    About 150 of the 200 examples carry no unknown key."""
     profile, unknown = _fuzzed_profile(data)
     ranks = profile.get("ranks") if isinstance(profile, dict) else None
     n = data.draw(st.one_of(st.integers(-2, 10 ** 4), st.just(
