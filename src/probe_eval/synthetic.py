@@ -24,17 +24,18 @@ import numpy as np
 from .errors import ValidationError, open_text
 from .ranking import RankTable
 
-_TAIL_SUM_TOL = 1e-9
 _MAX_ITEMS = sys.maxsize // 8  # NumPy refuses a larger array of 8-byte items
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, minimum: int) -> None:
     # bool is an int subclass, but a JSON true is not a count; counts are
     # held in int64 columns
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value >= 2 ** 63:
         raise ValidationError(f"{name} must be < 2**63, got {value}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,21 +49,17 @@ class PopularityStratum:
     max_rank: int | None = None
 
     def __post_init__(self):
-        for name in ("constant", "low", "high"):
-            if getattr(self, name) is not None:
-                _require_int(f"popularity {name}", getattr(self, name))
         if self.constant is not None:
             if self.low is not None or self.high is not None:
                 raise ValidationError("popularity rule is either constant or a range")
-            if self.constant < 0:
-                raise ValidationError(f"popularity must be >= 0, got {self.constant}")
+            _require_int("popularity constant", self.constant, 0)
         else:
             if self.low is None or self.high is None:
                 raise ValidationError("range popularity rule needs low and high")
-            if not (0 <= self.low <= self.high):
-                raise ValidationError(f"bad popularity range [{self.low}, {self.high}]")
+            _require_int("popularity low", self.low, 0)
+            _require_int("popularity high", self.high, self.low)
         if self.max_rank is not None:
-            _require_int("stratum max_rank", self.max_rank)
+            _require_int("stratum max_rank", self.max_rank, 1)
 
     def draw(self, rng: np.random.Generator) -> int:
         if self.constant is not None:
@@ -82,9 +79,7 @@ class ExplicitProfile:
         if not self.ranks:
             raise ValidationError("explicit profile needs at least one rank")
         for rank in self.ranks:
-            _require_int("explicit profile rank", rank)
-        if any(r < 1 for r in self.ranks):
-            raise ValidationError("explicit profile ranks must be >= 1")
+            _require_int("explicit profile rank", rank, 1)
         if self.popularities is not None:
             object.__setattr__(self, "popularities", tuple(self.popularities))
             if len(self.popularities) != len(self.ranks):
@@ -92,9 +87,7 @@ class ExplicitProfile:
                     f"popularities length {len(self.popularities)} != "
                     f"ranks length {len(self.ranks)}")
             for pop in self.popularities:
-                _require_int("explicit profile popularity", pop)
-            if any(p < 0 for p in self.popularities):
-                raise ValidationError("popularities must be >= 0")
+                _require_int("explicit profile popularity", pop, 0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,7 @@ class MixtureProfile:
     """Rank 1 w.p. p1; truncated geometric tail over ranks 2..n_entities.
 
     The tail pmf is g*(1-g)**(r-2) normalized over the truncation window,
-    scaled by (1 - p1); its total mass is checked against 1 - p1.
+    scaled by (1 - p1).
     """
 
     p1: float
@@ -111,19 +104,17 @@ class MixtureProfile:
     popularity_model: tuple[PopularityStratum, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not 0.0 <= self.p1 <= 1.0:
+        if isinstance(self.p1, bool) or not 0.0 <= self.p1 <= 1.0:
             raise ValidationError(f"p1 must be in [0, 1], got {self.p1}")
-        if not 0.0 < self.tail_rate <= 1.0:
+        if isinstance(self.tail_rate, bool) or not 0.0 < self.tail_rate <= 1.0:
             raise ValidationError(f"tail_rate must be in (0, 1], got {self.tail_rate}")
-        _require_int("n_entities", self.n_entities)
-        if self.n_entities < 2:
-            raise ValidationError(f"n_entities must be >= 2, got {self.n_entities}")
-        strata = self.popularity_model
-        bounded = [s.max_rank for s in strata if s.max_rank is not None]
-        if any(b < 1 for b in bounded):
-            raise ValidationError("stratum max_rank must be >= 1")
-        if bounded != sorted(bounded):
-            raise ValidationError("stratum max_rank values must ascend")
+        _require_int("n_entities", self.n_entities, 2)
+        # popularity_for applies the first rule covering a rank; no rank exceeds n_entities
+        bounds = [min(s.max_rank or self.n_entities, self.n_entities)
+                  for s in self.popularity_model]
+        if bounds != sorted(set(bounds)):
+            raise ValidationError(f"a popularity_model rule can never apply: rank bounds "
+                                  f"{bounds} (max_rank, at most n_entities) must strictly ascend")
 
     def pmf(self) -> np.ndarray:
         """Probability of each rank 1..n_entities."""
@@ -131,9 +122,6 @@ class MixtureProfile:
         g = self.tail_rate
         tail = g * np.power(1.0 - g, ranks - 2.0)
         tail = tail / tail.sum() * (1.0 - self.p1)
-        if abs(tail.sum() - (1.0 - self.p1)) > _TAIL_SUM_TOL:
-            raise ValidationError(
-                f"tail probabilities sum to {tail.sum()}, expected {1.0 - self.p1}")
         return np.concatenate(([self.p1], tail))
 
     def popularity_for(self, rank: int, rng: np.random.Generator) -> int:

@@ -956,12 +956,23 @@ class TestHostileInputs:
         {"kind": "mixture", "p1": 0.5, "n_entities": 10},
         [{"kind": "mixture"}],
         {"kind": "mixture", "p1": "0.5", "tail_rate": 0.1, "n_entities": 10},
-    ], ids=["missing-tail-rate", "json-list", "string-p1"])
+        {"kind": "mixture", "p1": False, "tail_rate": 0.1, "n_entities": 10},
+        {"kind": "mixture", "p1": 0.5, "tail_rate": True, "n_entities": 10},
+        {"kind": "mixture", "p1": 0.5, "tail_rate": 0.1, "n_entities": 10,
+         "popularity_model": [{"constant": 1}, {"max_rank": 1, "constant": 5}]},
+        {"kind": "mixture", "p1": 0.5, "tail_rate": 0.1, "n_entities": 10,
+         "popularity_model": [{"max_rank": 3, "constant": 1}, {"max_rank": 3, "constant": 5}]},
+        {"kind": "mixture", "p1": 0.5, "tail_rate": 0.1, "n_entities": 50,
+         "popularity_model": [{"max_rank": 100, "constant": 1}, {"constant": 5}]},
+    ], ids=["missing-tail-rate", "json-list", "string-p1", "false-p1", "true-tail-rate",
+            "rule-after-open-rule", "rule-at-equal-bound", "rule-after-bound-past-n-entities"])
     def test_malformed_profile_is_validation_error(self, tmp_path, capsys, profile):
         path = write_profile(tmp_path / "p.json", profile)
+        out = tmp_path / "o.tsv"
         assert run_cli("synth", "--profile", path, "--n", "3", "--seed", "0",
-                       "--out", str(tmp_path / "o.tsv")) == 1
+                       "--out", str(out)) == 1
         single_error_line(capsys, "validation")
+        assert not out.exists()
 
     @pytest.mark.parametrize("profile, key", [
         ({"kind": "mixture", "p1": 0.5, "tail_rate": 0.1, "n_entities": 10,

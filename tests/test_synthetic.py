@@ -36,7 +36,8 @@ class TestExplicitProfile:
             ExplicitProfile(ranks=(0,))
 
     def test_negative_popularity_rejected(self):
-        with pytest.raises(ValidationError, match=r"^popularities must be >= 0$"):
+        with pytest.raises(ValidationError,
+                           match=r"^explicit profile popularity must be >= 0, got -1$"):
             ExplicitProfile(ranks=(1, 2), popularities=(1, -1))
 
     def test_counts_beyond_int64_rejected(self):
@@ -106,16 +107,20 @@ class TestMixtureProfile:
         assert (table.pops == 0).all()
 
     def test_strata_order_validated(self):
-        with pytest.raises(ValidationError, match="^stratum max_rank values must ascend$"):
-            MixtureProfile(
-                p1=0.5, tail_rate=0.2, n_entities=50,
-                popularity_model=(
-                    PopularityStratum(constant=1, max_rank=5),
-                    PopularityStratum(constant=2, max_rank=1),
-                ))
-        with pytest.raises(ValidationError, match="^stratum max_rank must be >= 1$"):
-            MixtureProfile(p1=0.5, tail_rate=0.2, n_entities=50,
-                           popularity_model=(PopularityStratum(constant=1, max_rank=0),))
+        """A rule whose bound (max_rank, at most n_entities) does not exceed every
+        earlier one can never apply: descending, after an open rule, equal, and
+        after a rule past n_entities."""
+        for max_ranks, bounds in [((5, 1), r"\[5, 1\]"), ((None, 1), r"\[50, 1\]"),
+                                  ((3, 3), r"\[3, 3\]"), ((100, None), r"\[50, 50\]")]:
+            with pytest.raises(ValidationError, match=(
+                    rf"^a popularity_model rule can never apply: rank bounds {bounds} "
+                    r"\(max_rank, at most n_entities\) must strictly ascend$")):
+                MixtureProfile(
+                    p1=0.5, tail_rate=0.2, n_entities=50,
+                    popularity_model=tuple(PopularityStratum(constant=k, max_rank=max_rank)
+                                           for k, max_rank in enumerate(max_ranks)))
+        with pytest.raises(ValidationError, match=r"^stratum max_rank must be >= 1, got 0$"):
+            PopularityStratum(constant=1, max_rank=0)
 
 
 class TestDeterminism:
@@ -183,11 +188,11 @@ class TestProfileJson:
         with pytest.raises(ValidationError,
                            match=r"^popularity rule is either constant or a range$"):
             PopularityStratum(constant=1, low=0, high=2)
-        with pytest.raises(ValidationError, match=r"^bad popularity range \[5, 2\]$"):
+        with pytest.raises(ValidationError, match=r"^popularity high must be >= 5, got 2$"):
             PopularityStratum(low=5, high=2)
         with pytest.raises(ValidationError, match=r"^range popularity rule needs low and high$"):
             PopularityStratum()
-        with pytest.raises(ValidationError, match=r"^popularity must be >= 0, got -1$"):
+        with pytest.raises(ValidationError, match=r"^popularity constant must be >= 0, got -1$"):
             PopularityStratum(constant=-1)
 
 

@@ -8,13 +8,15 @@ every rank file is read by ``cli._load_models``, files are identified only by
 file form (no ``asdict``, no ``to_json_dict``), every public name has
 a caller outside the tests, np.unique is never asked for its values alone,
 nothing calls BLAS, every text writer pins its line ending, the command-line
-options are pinned and each named in the README, and every ``module.name``
+options are pinned and each named in the README, every profile field (a
+profile file's JSON key) is named in the README, and every ``module.name``
 the README cites exists."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import enum
 import importlib
 import importlib.util
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import probe_eval
 from probe_eval.cli import build_parser
+from probe_eval.synthetic import ExplicitProfile, MixtureProfile, PopularityStratum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -338,6 +341,16 @@ def test_every_cli_option_is_in_the_readme():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = sorted({option for options in CLI_OPTIONS.values() for option in options
                       if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)})
+    assert missing == []
+
+
+def test_every_profile_field_is_in_the_readme():
+    """A profile's dataclass fields are its JSON keys, so each one appears in
+    README.md, backticked or as a JSON key."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = sorted(f.name for cls in (PopularityStratum, ExplicitProfile, MixtureProfile)
+                     for f in dataclasses.fields(cls)
+                     if f"`{f.name}`" not in readme and f'"{f.name}":' not in readme)
     assert missing == []
 
 
