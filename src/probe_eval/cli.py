@@ -73,7 +73,7 @@ class RunManifest:
     def add_input(self, path: str | Path) -> None:
         digest = hashlib.sha256()
         with Path(path).open("rb") as handle:
-            for block in iter(lambda: handle.read(1 << 20), b""):
+            for block in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(block)
         self.inputs[str(path)] = f"sha256:{digest.hexdigest()}"
 

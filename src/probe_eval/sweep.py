@@ -1,14 +1,10 @@
 """Grid sweeps over (alpha, beta), ranking-flip detection, and exports.
 
 A sweep scores every model at every grid cell and orders models per cell
-(score descending, lexicographic on ties).  Two scores closer than
-TIE_TOLERANCE are a tie; ``_strict_order`` is the one place that applies
-the tolerance.  A cell's tie groups are built down its order: a model
-joins the current group when it ties the group's first (highest) member,
-and starts a new group otherwise, so every pair inside a group is a tie.
-A flip is a model pair whose strict order at a cell is the reverse of
-its strict order at the base cell; a tie at either cell is never a flip,
-which keeps the report robust to float noise.
+(score descending, lexicographic on ties).  Two models tie at a cell when
+their scores are equal.  A flip is a model pair whose strict order at a
+cell is the reverse of its strict order at the base cell; a tie at either
+cell is never a flip.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from typing import Mapping, Sequence
 from .errors import ValidationError
 from .metrics import MetricConfig, Stratum, score_grid, split_buckets
 from .ranking import RankTable, check_same_queries
-
-TIE_TOLERANCE = 1e-12
 
 DEFAULT_ALPHAS = (0.25, 0.5, 1.0, 2.0)
 DEFAULT_BETAS = (0.0, 0.2, 0.4, 0.8)
@@ -66,7 +60,7 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class CellRanking:
-    """Model order at one cell; ties lists the groups of indistinguishable scores.
+    """Model order at one cell; ties lists the groups of equal scores.
     The fields are the keys of a rankings.json cell."""
 
     alpha: float
@@ -100,39 +94,26 @@ class SweepResult:
     flips: list[Flip] = field(default_factory=list)
 
 
-def _strict_order(a: float, b: float) -> int:
-    """-1, 0, +1 comparison with the tie tolerance applied."""
-    if abs(a - b) <= TIE_TOLERANCE:
-        return 0
-    return 1 if a > b else -1
-
-
 def _rank_cell(cell: Cell, scores: Mapping[str, float]) -> CellRanking:
     order = sorted(scores, key=lambda m: (-scores[m], m))
-    groups: list[list[str]] = []
-    for name in order:
-        if groups and _strict_order(scores[groups[-1][0]], scores[name]) == 0:
-            groups[-1].append(name)
-        else:
-            groups.append([name])
+    groups = (tuple(g) for _, g in itertools.groupby(order, key=scores.__getitem__))
     return CellRanking(*cell, order=tuple(order),
-                       ties=tuple(tuple(g) for g in groups if len(g) > 1))
+                       ties=tuple(g for g in groups if len(g) > 1))
 
 
 def find_flips(result: SweepResult) -> list[Flip]:
-    """Pairs whose strict base-cell order strictly reverses at another cell."""
+    """Pairs whose strict base-cell order strictly reverses at another cell;
+    a tie at either cell is never a flip."""
     base_scores = result.cells[result.grid.base]
     # (pair, (winner, loser) at the base) for every pair not tied there
-    ordered = []
-    for a, b in itertools.combinations(sorted(result.models), 2):
-        at_base = _strict_order(base_scores[a], base_scores[b])
-        if at_base:
-            ordered.append(((a, b), (a, b) if at_base > 0 else (b, a)))
+    ordered = [((a, b), (a, b) if base_scores[a] > base_scores[b] else (b, a))
+               for a, b in itertools.combinations(sorted(result.models), 2)
+               if base_scores[a] != base_scores[b]]
     flips: list[Flip] = []
     for cell in result.grid.cells():
         scores = result.cells[cell]
         for pair, (winner, loser) in ordered:
-            if _strict_order(scores[loser], scores[winner]) > 0:
+            if scores[loser] > scores[winner]:
                 flips.append(Flip(*cell, pair=pair, base_order=(winner, loser),
                                   cell_order=(loser, winner)))
     return flips

@@ -17,8 +17,8 @@ from probe_eval.errors import ValidationError
 from probe_eval.metrics import MetricConfig, popularity_weights, probe_score
 from probe_eval.ranking import RankTable
 from probe_eval.sweep import (DEFAULT_RANK_BINS, SweepGrid, SweepResult, _rank_cell,
-                              _strict_order, find_flips, histogram_export,
-                              rank_histogram, run_sweep, surface_export)
+                              find_flips, histogram_export, rank_histogram, run_sweep,
+                              surface_export)
 from probe_eval.synthetic import ExplicitProfile, generate
 
 BASE_CONFIG = MetricConfig(alpha=1.0, beta=0.0, affine=True, entity_count=10_000)
@@ -213,7 +213,7 @@ class TestFlipOracle:
     @settings(max_examples=40, deadline=None)
     def test_antisymmetric_and_complete(self, data):
         """Every strict pair is either flipped or preserved, matching a
-        brute-force pairwise comparison."""
+        brute-force pairwise comparison of the fsum reference scores."""
         n_models = data.draw(st.integers(2, 4))
         n_records = data.draw(st.integers(1, 30))
         models = {}
@@ -227,20 +227,20 @@ class TestFlipOracle:
         result = run_sweep(models, grid, BASE_CONFIG)
 
         flip_keys = {(f.cell, f.pair) for f in result.flips}
-        tol = 1e-12
+        reference = {cell: {name: fsum_cell(records, BASE_CONFIG, *cell)
+                            for name, records in models.items()}
+                     for cell in grid.cells()}
+        base = reference[grid.base]
         for cell in grid.cells():
-            if cell == grid.base:
-                continue
+            scores = reference[cell]
             for a, b in itertools.combinations(sorted(models), 2):
-                base_delta = result.cells[grid.base][a] - result.cells[grid.base][b]
-                cell_delta = result.cells[cell][a] - result.cells[cell][b]
-                strict = abs(base_delta) > tol and abs(cell_delta) > tol
-                expect_flip = strict and (base_delta > 0) != (cell_delta > 0)
+                strict = base[a] != base[b] and scores[a] != scores[b]
+                expect_flip = strict and (base[a] > base[b]) != (scores[a] > scores[b])
                 assert ((cell, (a, b)) in flip_keys) == expect_flip
 
 
 class TestTieGroups:
-    """Tie groups and flips apply one tie rule, ``_strict_order``."""
+    """Tie groups and flips apply one tie rule: equal scores tie."""
 
     BASE, OTHER = (1.0, 0.0), (2.0, 0.0)
     GRID = SweepGrid(alphas=(1.0, 2.0), betas=(0.0,), base=(1.0, 0.0))
@@ -259,32 +259,59 @@ class TestTieGroups:
         for cell, cell_groups in groups.items():
             scores = result.cells[cell]
             for group in cell_groups:
-                for a, b in itertools.combinations(sorted(group), 2):
-                    assert _strict_order(scores[a], scores[b]) == 0, (cell, group)
+                assert len({scores[name] for name in group}) == 1, (cell, group)
+            for a, b in itertools.combinations(result.models, 2):
+                if scores[a] == scores[b]:
+                    assert any({a, b} <= group for group in cell_groups), (cell, a, b)
         for flip in result.flips:
             for cell in (flip.cell, self.BASE):
                 assert not any(set(flip.pair) <= group for group in groups[cell])
             assert flip.cell_order == flip.base_order[::-1]
 
     def test_three_model_chain_is_not_one_group(self):
-        """b ties a and c, but a and c are strictly ordered: a flip, not a tie."""
-        base = {"a": 0.5, "b": 0.5 + 0.8e-12, "c": 0.5 + 1.6e-12}
+        """Scores one ULP apart are strictly ordered: flips, not ties."""
+        b = math.nextafter(0.5, 1.0)
+        base = {"a": 0.5, "b": b, "c": math.nextafter(b, 1.0)}
         other = {"a": 0.6, "b": 0.5, "c": 0.4}
         result = self._ranked(base, other)
         assert result.rankings[self.BASE].order == ("c", "b", "a")
-        assert result.rankings[self.BASE].ties == (("c", "b"),)
-        assert [(f.cell, f.pair) for f in result.flips] == [(self.OTHER, ("a", "c"))]
+        assert result.rankings[self.BASE].ties == ()
+        assert [(f.cell, f.pair) for f in result.flips] == [
+            (self.OTHER, ("a", "b")), (self.OTHER, ("a", "c")), (self.OTHER, ("b", "c"))]
         self._check(result)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_groups_are_ties_and_flips_are_not(self, data):
+        """Steps repeat (equal scores) and neighbour (scores one ULP apart)."""
+        ladder = [0.5]
+        for _ in range(6):
+            ladder.append(math.nextafter(ladder[-1], 1.0))
         n_models = data.draw(st.integers(2, 5))
         steps = st.lists(st.integers(0, 6), min_size=n_models, max_size=n_models)
         names = [f"m{i}" for i in range(n_models)]
-        base, other = ({name: 0.5 + k * 6e-13 for name, k in zip(names, data.draw(steps))}
+        base, other = ({name: ladder[k] for name, k in zip(names, data.draw(steps))}
                        for _ in range(2))
         self._check(self._ranked(base, other))
+
+    def test_alpha_two_near_tie_is_an_order(self):
+        """At alpha = 2, one rank place on a few of 40,932 queries moves a
+        score by ~1e-13; the three models stay strictly ordered."""
+        rng = np.random.default_rng(0)
+        ranks = rng.integers(1, 2000, size=40_932)
+        pops = rng.integers(0, 500, size=40_932)
+        one_lower = ranks.copy()
+        one_lower[np.flatnonzero(ranks == 1000)[0]] += 1
+        ten_lower = ranks.copy()
+        ten_lower[np.flatnonzero(ranks > 1500)[:10]] += 1
+        models = {name: make_records(r, pops)
+                  for name, r in zip("abc", (ranks, one_lower, ten_lower))}
+        result = run_sweep(models, SweepGrid(), MetricConfig(entity_count=14_541))
+        for beta in result.grid.betas:
+            scores = result.cells[(2.0, beta)]
+            assert result.rankings[(2.0, beta)].ties == ()
+            assert result.rankings[(2.0, beta)].order == ("a", "b", "c")
+            assert scores["a"] > scores["b"] > scores["c"]
 
 
 class TestRankHistogram:
