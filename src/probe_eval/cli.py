@@ -7,11 +7,12 @@ command ends in ``_emit``, which writes each output file's sidecar
 manifest recording the command, resolved configuration, input digests,
 tool version, and timestamp, so reruns on identical inputs produce
 byte-identical data files and manifests differing only in the timestamp.
-``eval``, ``compare`` and ``sweep`` check their flags before ``_load_models``
-reads any file, and write nothing until every result is computed.  An
-output file that is an input file, or another output file, is refused
-before any file is read.  Each JSON object written from a value type is
-``vars(value)``, the instance's own field dict, so nothing may mutate it.
+``eval``, ``compare`` and ``sweep`` check their flags, and each alpha against
+the entity count, before ``_load_models`` reads any rank file, and write
+nothing until every result is computed.  An output file that is an input
+file, or another output file, is refused before any file is read.  Each
+JSON object written from a value type is ``vars(value)``, the instance's
+own field dict, so nothing may mutate it.
 """
 
 from __future__ import annotations
@@ -205,14 +206,15 @@ def _scoring_args(parser: _Parser) -> None:
                         help="'auto' or comma-separated popularity bucket edges from 0")
 
 
-def _load_models(args, model_files: Mapping[str, str | Path], alpha: float, beta: float
-                 ) -> tuple[MetricConfig, np.ndarray | None, dict[str, RankTable]]:
+def _load_models(args, model_files: Mapping[str, str | Path], alphas: Sequence[float],
+                 beta: float) -> tuple[MetricConfig, np.ndarray | None, dict[str, RankTable]]:
     """The input path of eval, compare and sweep, once each has checked its own
-    flags: the metric flags, then the dataset, then each nonempty rank file.
+    flags: the metric flags, then the dataset, then each cell (alpha, beta) of
+    ``alphas``, then each nonempty rank file.
 
-    Returns the MetricConfig at (alpha, beta), the dataset's popularity
-    column (None without --dataset) and each model's RankTable.  Only an
-    entity count taken from the dataset is checked after a file is read.
+    Returns the MetricConfig at (alphas[0], beta), the dataset's popularity
+    column (None without --dataset) and each model's RankTable.  Only the
+    checks needing an entity count taken from the dataset run after it is read.
     Of the dataset only the entity label->id map and the popularity column
     are kept: its split arrays are released before any rank file is read.
     The tables share one string object per distinct query key.
@@ -223,13 +225,15 @@ def _load_models(args, model_files: Mapping[str, str | Path], alpha: float, beta
         raise ValidationError("affine mode needs --dataset or --entities "
                               "to fix the entity count")
     # alpha, beta and epsilon need no entity count: check them in raw mode
-    config = MetricConfig(alpha=alpha, beta=beta, epsilon=args.epsilon, affine=False)
+    config = MetricConfig(alpha=alphas[0], beta=beta, epsilon=args.epsilon, affine=False)
     graph, pop = load_dataset(args.dataset) if args.dataset else (None, None)
     vocabulary = graph.entity_ids if graph is not None else None
     del graph  # the last reference to the split arrays
     config = replace(config, affine=not args.no_affine,
                      entity_count=args.entities if args.entities is not None
                      else len(vocabulary) if vocabulary is not None else None)
+    for alpha in alphas:
+        config.with_cell(alpha, beta)
     tables = {}
     shared: dict[str, str] = {}
     for name, path in model_files.items():
@@ -256,7 +260,7 @@ def _score_models(args, model_files: Mapping[str, str | Path]
         raise ValidationError(f"--hits must be strictly ascending, got {list(hits_ks)}")
     edges = (None if args.strata == "auto" else
              check_edges(_parse_list(args.strata, "--strata", int), 0, "bucket edges"))
-    config, pop, tables = _load_models(args, model_files, args.alpha, args.beta)
+    config, pop, tables = _load_models(args, model_files, (args.alpha,), args.beta)
     check_same_queries(tables)
     if edges is None:  # without a dataset every gold popularity is 0
         edges = default_bucket_edges(0 if pop is None else int(pop.max(initial=0)))
@@ -323,7 +327,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
                      betas=_parse_list(args.betas, "--betas", float),
                      base=base)
     bins = check_edges(_parse_list(args.bins, "--bins", int), 1, "rank bins")
-    config, _, models = _load_models(args, model_files, *grid.base)
+    config, _, models = _load_models(args, model_files, grid.alphas, grid.base[1])
     result = run_sweep(models, grid, config)
     histograms = {name: rank_histogram(table, bins) for name, table in models.items()}
 

@@ -32,8 +32,9 @@ DEFAULT_HITS_KS = (1, 3, 10)
 class MetricConfig:
     """Evaluation knobs: sharpness, bias robustness, and the affine switch.
 
-    entity_count is required in affine mode (it is the rescaling anchor);
-    alpha must be positive whenever scores are aggregated, in either mode.
+    The one check of a scoring cell, so a config that constructs can score.
+    Affine mode needs entity_count (the rescaling anchor) >= 2, and an alpha
+    that does not round 1 - entity_count**-alpha to 0.
     """
 
     alpha: float = 1.0
@@ -57,9 +58,7 @@ class MetricConfig:
         if self.affine:
             if self.entity_count is None:
                 raise ValidationError("affine mode requires entity_count")
-            if self.entity_count < 2:
-                raise ValidationError(
-                    f"affine mode requires entity_count >= 2, got {self.entity_count}")
+            _affine_denominator(self.alpha, self.entity_count)
 
     def with_cell(self, alpha: float, beta: float) -> "MetricConfig":
         return replace(self, alpha=alpha, beta=beta)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,7 +30,8 @@ Cell = tuple[float, float]
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The (alpha, beta) cells to evaluate, plus the reference cell."""
+    """The (alpha, beta) cells to evaluate, plus the reference cell; MetricConfig
+    checks each value, and the entity-count rules where the count is known."""
 
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     betas: tuple[float, ...] = DEFAULT_BETAS
@@ -40,13 +40,10 @@ class SweepGrid:
     def __post_init__(self):
         if not self.alphas or not self.betas:
             raise ValidationError("grid needs at least one alpha and one beta")
-        if not all(math.isfinite(v) for v in (*self.alphas, *self.betas)):
-            raise ValidationError(
-                f"alphas and betas must be finite, got {self.alphas} and {self.betas}")
-        if any(a <= 0 for a in self.alphas):
-            raise ValidationError(f"alphas must be > 0, got {self.alphas}")
-        if any(b < 0 for b in self.betas):
-            raise ValidationError(f"betas must be >= 0, got {self.betas}")
+        for alpha in self.alphas:
+            MetricConfig(alpha=alpha, affine=False)
+        for beta in self.betas:
+            MetricConfig(beta=beta, affine=False)
         if list(self.alphas) != sorted(set(self.alphas)):
             raise ValidationError(f"alphas must be strictly ascending, got {self.alphas}")
         if list(self.betas) != sorted(set(self.betas)):

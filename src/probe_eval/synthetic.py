@@ -196,23 +196,15 @@ def generate(profile: RankProfile, n: int, seed: int) -> RankTable:
 def oracle_probe(table: RankTable, config) -> float:
     """Direct single-loop re-derivation of the aggregate score.
 
-    Naive left-to-right summation on purpose: at the sizes tested, any
-    disagreement with the main path beyond float noise flags a real bug.
+    Its config is a MetricConfig, so the cell is valid; it re-derives only
+    the arithmetic.  Naive left-to-right summation on purpose: at the sizes
+    tested, any disagreement with the main path beyond float noise flags a real bug.
     """
     if not len(table):
         raise ValidationError("cannot score an empty record list")
     alpha = config.alpha
-    if alpha <= 0:
-        raise ValidationError(f"scoring requires alpha > 0, got {alpha}")
-    if config.epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {config.epsilon}")
     if config.affine:
-        n = config.entity_count
-        if n is None or n < 2:
-            raise ValidationError("affine mode requires entity_count >= 2")
-        denominator = 1.0 - n ** -alpha
-        if denominator == 0.0:
-            raise ValidationError("affine denominator underflowed")
+        denominator = 1.0 - config.entity_count ** -alpha
 
     numerator = 0.0
     total_weight = 0.0

@@ -465,7 +465,7 @@ class TestLoadModels:
         return {"a": first, "b": second}
 
     def test_tables_share_key_strings(self, same_queries):
-        _, _, tables = cli._load_models(self.ARGS, same_queries, 1.0, 0.0)
+        _, _, tables = cli._load_models(self.ARGS, same_queries, (1.0,), 0.0)
         first, second = tables["a"].keys, tables["b"].keys
         assert first == second[::-1]
         assert all(a is b for a, b in zip(first, reversed(second)))
@@ -477,7 +477,8 @@ class TestLoadModels:
         def held(model_files) -> int:
             tracemalloc.start()
             try:
-                loaded = cli._load_models(self.ARGS, model_files, 1.0, 0.0)  # held while measured
+                # held while measured
+                loaded = cli._load_models(self.ARGS, model_files, (1.0,), 0.0)
                 return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -908,12 +909,18 @@ class TestHostileInputs:
         ("sweep", ["--base", "1"], "--base expects alpha,beta, got '1'"),
         ("sweep", ["--bins", "0,5"], "rank bins must start at 1, got [0]"),
         ("sweep", ["--bins", ""], "--bins expects comma-separated integers, got ''"),
-        ("sweep", ["--alphas", "0,1"], "alphas must be > 0, got (0.0, 1.0)"),
-        ("sweep", ["--betas=-1,0"], "betas must be >= 0, got (-1.0, 0.0)"),
+        ("sweep", ["--alphas", "0,1"], "alpha must be > 0 for aggregated scoring, got 0.0 "
+                                       "(negative-alpha transforms are available through rt_raw)"),
+        ("sweep", ["--betas=-1,0"], "beta must be >= 0, got -1.0"),
         ("eval", ["--strata", "1,2"], "bucket edges must start at 0, got [1]"),
+        ("eval", ["--alpha", "1e-320"],
+         "alpha=1e-320 underflows the affine denominator for n_entities=10"),
+        ("sweep", ["--alphas", "1e-320,1"],
+         "alpha=1e-320 underflows the affine denominator for n_entities=10"),
     ], ids=["sweep-alphas-word", "eval-strata-word", "sweep-base-one-number",
             "sweep-bins-from-zero", "sweep-bins-empty", "sweep-alphas-zero",
-            "sweep-betas-negative", "eval-strata-from-one"])
+            "sweep-betas-negative", "eval-strata-from-one", "eval-alpha-underflow",
+            "sweep-alphas-underflow"])
     def test_malformed_list_argument_rejected(self, rankfile, tmp_path, capsys,
                                               command, flags, message):
         """Each flag is checked before any file is read, and nothing is written."""
@@ -924,6 +931,18 @@ class TestHostileInputs:
                            "--out", str(out)) == 1
             assert single_error_line(capsys, "validation") == f"error[validation]: {message}"
             assert not out.exists()
+
+    def test_alpha_checked_against_dataset_before_rank_files(self, toy_dataset, tmp_path,
+                                                             capsys):
+        """An entity count from --dataset is known once the dataset is read;
+        every alpha is checked against it before any rank file is opened."""
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--ranks", f"m={tmp_path / 'missing.tsv'}",
+                       "--dataset", str(toy_dataset), "--alphas", "1e-320,1",
+                       "--out", str(out)) == 1
+        assert single_error_line(capsys, "validation") == (
+            "error[validation]: alpha=1e-320 underflows the affine denominator for n_entities=4")
+        assert not out.exists()
 
     def test_non_numeric_score_is_parse_error(self, toy_dataset, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"

@@ -10,7 +10,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_records
@@ -180,6 +180,22 @@ class TestMetricConfig:
     def test_beta_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             MetricConfig(beta=-0.1, affine=False)
+
+    def test_alpha_underflowing_the_affine_denominator_rejected(self):
+        with pytest.raises(ValidationError, match=r"^alpha=1e-320 underflows the affine "
+                                                  r"denominator for n_entities=10$"):
+            MetricConfig(alpha=1e-320, affine=True, entity_count=10)
+        MetricConfig(alpha=1e-320, affine=False, entity_count=10)
+
+    @given(alpha=st.floats(min_value=5e-324, max_value=4.0), n=st.integers(2, 10 ** 6))
+    @example(alpha=1e-320, n=10)
+    def test_a_config_that_constructs_can_score(self, alpha, n):
+        try:
+            config = MetricConfig(alpha=alpha, affine=True, entity_count=n)
+        except ValidationError as exc:
+            assert "underflows the affine denominator" in str(exc)
+            return
+        assert math.isfinite(probe_score(make_records([1, n]), config))
 
 
 class TestProbeScore:

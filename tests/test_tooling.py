@@ -1,6 +1,7 @@
 """Repository guards: the benchmark's tracer wraps functions that exist in
 the package, float reductions go through ``metrics.exact_sum``, PROBE
-scores come only from ``metrics.score_grid``, ranked queries reach the
+scores come only from ``metrics.score_grid``, ``math.isfinite`` is called
+only by ``metrics.MetricConfig``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, files are identified only by
 ``cli._file_identity``, every tab-separated input goes through
@@ -67,6 +68,24 @@ def test_fsum_is_called_only_inside_exact_sum():
             if name == "fsum" and id(node) not in allowed:
                 stray.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and any(a.name == "fsum" for a in node.names):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_isfinite_is_called_only_inside_metric_config():
+    """The domain of alpha, beta and epsilon is MetricConfig's: a sweep grid or
+    a command checks a value by constructing one, not by a rule of its own."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = _nodes_inside(tree, "MetricConfig")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"
+                    and id(node) not in allowed):
+                stray.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(a.name == "isfinite" for a in node.names)):
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
