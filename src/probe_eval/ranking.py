@@ -4,7 +4,9 @@ Each test triple yields two queries (head-masked, tail-masked).  Ranking a
 query means counting, among candidates not excluded by the filter, how many
 score strictly above the gold entity, then resolving ties by policy.  The
 filter removes every candidate that would itself form a known-true triple
-(train, valid, or test), the standard filtered protocol.
+(train, valid, or test), the standard filtered protocol.  Score rows are
+parsed by orjson, and by the standard library's json where orjson refuses a
+row (see iter_score_rows).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class Direction(str, enum.Enum):
 # set, because a score row's direction may be an unhashable JSON value.
 _DIRECTIONS = (Direction.HEAD.value, Direction.TAIL.value)
 _DIRECTION_ERROR = "direction must be 'head' or 'tail', got {!r}"
+_LABELS = ("head", "relation", "tail", "direction")  # a score row's string fields
 
 
 @dataclass(frozen=True)
@@ -338,17 +341,32 @@ def write_rank_file(table: RankTable, path: str | Path) -> None:
 
 def iter_score_rows(path: str | Path,
                     graph: KnowledgeGraph) -> Iterator[tuple[int, ScoreRow]]:
-    """Yield (line number, score row) pairs, validating entity order and length."""
+    """Yield (line number, score row) pairs, validating entity order and length.
+
+    orjson parses each row.  json.loads parses again, and defines the row,
+    where orjson refuses it (NaN, Infinity, a number beyond a double, a lone
+    surrogate, malformed JSON) or gives anything but an object with string
+    labels, since orjson reads an integer beyond 64 bits as a float.  The two
+    agree on every other document, floats to the bit.  Only the row being
+    yielded is held, not its parsed object.
+    """
+    import orjson  # loaded by rank alone, not by every command's start-up
+
     path = Path(path)
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # over 4,300 digits or too deep: no .msg
-                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
-                                 path=str(path), line=lineno) from None
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                obj = None
+            if type(obj) is not dict or not all(type(obj.get(key)) is str for key in _LABELS):
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # over 4,300 digits or too deep: no .msg
+                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                                     path=str(path), line=lineno) from None
             try:
                 head, relation, tail = obj["head"], obj["relation"], obj["tail"]
                 direction, scores = obj["direction"], obj["scores"]
@@ -380,6 +398,7 @@ def iter_score_rows(path: str | Path,
                 raise ValidationError(
                     f"scores length {vector.size} != entity count {graph.n_entities}",
                     path=path, line=lineno)
+            del obj, scores  # so the next row's parse does not overlap them
             yield lineno, ScoreRow(
                 query=Query(head, relation, tail, Direction(direction),
                             head_id=hid, relation_id=rid, tail_id=tid),

@@ -809,7 +809,8 @@ def _score_line(head="d", direction="head", scores=(0.1, 0.2, 0.3, 0.4)) -> str:
 
 
 # case: (command, input lines, error category, the error line after its path)
-# json.loads raises RecursionError, not ValueError, on 100,000 nested arrays
+# json.loads raises RecursionError, not ValueError, on 100,000 nested arrays;
+# for a score file it does so after orjson refuses them as unterminated
 DEEP_JSON = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 LOCATED_ERRORS = {
     "score-vocabulary": ("rank", [_score_line(), _score_line(head="zz")], "validation",
@@ -825,6 +826,16 @@ LOCATED_ERRORS = {
     "score-non-finite": ("rank", [_score_line(scores=(0.1, 0.2, 0.3, math.nan))],
                          "validation", ":1: non-finite score in row for query "
                          "('d', 'r1', 'b', 'head')"),
+    # json.loads defines the next three rows: orjson refuses Infinity and 10**400,
+    # and reads 2**70 as a float
+    "score-infinity-literal": ("rank", [_score_line(scores=(0.1, 0.2, 0.3, math.inf))],
+                               "validation", ":1: non-finite score in row for query "
+                               "('d', 'r1', 'b', 'head')"),
+    "score-big-int-label": ("rank", [_score_line(head=2**70)], "validation",
+                            ":1: triple (1180591620717411303424, r1, b) references "
+                            "labels outside the dataset vocabulary"),
+    "score-overflow-int": ("rank", [_score_line(scores=(0.1, 0.2, 0.3, 10**400))], "parse",
+                           ":1: scores must be a list of numbers"),
     "score-direction": ("rank", [_score_line(direction="Tail")], "parse",
                         ":1: direction must be 'head' or 'tail', got 'Tail'"),
     "rank-direction": ("eval", ["d\tr1\tb\tHead\t1"], "parse",

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import array
 import hashlib
 import json
 import logging
 import pathlib
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ from probe_eval.errors import ParseError, ValidationError
 from probe_eval.kg_data import compute_popularity, load_dataset
 from probe_eval.ranking import (Direction, Query, RankTable, ScoreRow,
                                 TiePolicy, check_same_queries, filter_set,
-                                load_rank_file, make_queries, rank_of_gold,
-                                rank_score_file, write_rank_file)
+                                iter_score_rows, load_rank_file, make_queries,
+                                rank_of_gold, rank_score_file, write_rank_file)
 
 
 def graph_of(*train, valid=(), test=()):
@@ -699,6 +701,70 @@ class TestRankScoreFile:
         write_score_file(path, g, rows[::-1])  # tail row first in the file
         table = rank_score_file(path, g, pop, TiePolicy("average"))
         assert [key.split("\t")[3] for key in table.keys] == ["head", "tail"]
+
+
+def parsed_by_json(line: str, graph):
+    """What iter_score_rows gives for one score line, by json.loads and array("d"):
+    the query and the scores' bytes, or the error message."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return f"invalid JSON: {getattr(exc, 'msg', exc)}"
+    head, relation, tail, direction = (obj[k] for k in ("head", "relation", "tail", "direction"))
+    if direction not in ("head", "tail"):
+        return f"direction must be 'head' or 'tail', got {direction!r}"
+    ids = (graph.entity_ids.get(head, -1), graph.relation_ids.get(relation, -1),
+           graph.entity_ids.get(tail, -1))
+    if min(ids) < 0:
+        return (f"triple ({head}, {relation}, {tail}) references labels outside "
+                "the dataset vocabulary")
+    if any(type(x) is bool for x in obj["scores"]):
+        return "scores must be a list of numbers"
+    try:
+        scores = array.array("d", obj["scores"])
+    except OverflowError:
+        return "scores must be a list of numbers"
+    return Query(head, relation, tail, Direction(direction), head_id=ids[0],
+                 relation_id=ids[1], tail_id=ids[2]), scores.tobytes()
+
+
+FLOAT_TEXTS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), "%.17e" % x, "%.25e" % x]))
+BIG_INTEGERS = st.one_of(st.integers(2**64, 10**308), st.integers(int(sys.float_info.max),
+                                                                  10**400)).flatmap(
+    lambda n: st.sampled_from([str(n), str(-n)]))
+LITERALS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "true", "false"])
+NON_STRING_LABELS = st.one_of(st.just(str(2**70)), st.integers(-2**80, 2**80).map(str),
+                              FLOAT_TEXTS, st.sampled_from(["null", "true", '"\\ud800"']))
+
+
+class TestScoreRowParsing:
+    """orjson parses score rows and json.loads defines the rows orjson refuses or
+    reads otherwise, so every row reads as json.loads and array("d") read it."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_loads(self, data):
+        g = graph_of(("a", "r", "b"), ("c", "r", "b"), test=(("a", "r", "b"),))
+        labels = {"head": '"a"', "direction": data.draw(st.sampled_from(['"head"', '"tail"']))}
+        odd = data.draw(st.sampled_from([None, None, "head", "direction"]))
+        if odd:
+            labels[odd] = data.draw(NON_STRING_LABELS)
+        scores = data.draw(st.lists(st.one_of(FLOAT_TEXTS, BIG_INTEGERS, LITERALS),
+                                    min_size=g.n_entities, max_size=g.n_entities))
+        line = (f'{{"head": {labels["head"]}, "relation": "r", "tail": "b", '
+                f'"direction": {labels["direction"]}, '
+                f'"scores": [{", ".join(scores)}]}}')
+        expected = parsed_by_json(line, g)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "s.jsonl"
+            path.write_text(line + "\n", encoding="utf-8")
+            try:
+                [(_, row)] = iter_score_rows(path, g)
+            except ValidationError as exc:
+                assert str(exc) == f"{path}:1: {expected}"
+            else:
+                assert (row.query, row.scores.tobytes()) == expected
 
 
 def documented_draw(seed: int, query: Query, tie_count: int) -> int:

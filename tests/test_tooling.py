@@ -5,7 +5,8 @@ only by ``metrics.MetricConfig``, ranked queries reach the
 metrics only as a ``RankTable``, every manifest is written by ``cli._emit``,
 every rank file is read by ``cli._load_models``, files are identified only by
 ``cli._file_identity``, every tab-separated input goes through
-``errors.read_rows``, every value type is a dataclass whose fields are its
+``errors.read_rows``, orjson is imported and called only in
+``ranking.iter_score_rows``, every value type is a dataclass whose fields are its
 file form (no ``asdict``, no ``to_json_dict``), every public name has
 a caller outside the tests, np.unique is never asked for its values alone,
 nothing calls BLAS, every text writer pins its line ending, the command-line
@@ -202,6 +203,23 @@ def test_open_text_is_called_only_in_the_readers():
                           else getattr(func, "id", None))
                 if called == "open_text":
                     stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_orjson_is_used_only_in_iter_score_rows():
+    """orjson parses score rows alone, with json.loads as its fallback there, and
+    is imported inside iter_score_rows so that no other command loads it."""
+    stray = []
+    for path in sorted((ROOT / "src" / "probe_eval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = _nodes_inside(tree, "iter_score_rows")
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] + [node.module]
+                     if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.id] if isinstance(node, ast.Name) else [])
+            if "orjson" in names and id(node) not in allowed:
+                stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 
 
